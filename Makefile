@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race check demo bench bench-json bench-cf bench-cf-smoke bench-batch-smoke restart examples-smoke
+.PHONY: all build vet lint lint-json test race check demo bench bench-json bench-cf bench-cf-smoke bench-batch-smoke restart examples-smoke loc
 
 all: check
 
@@ -14,8 +14,9 @@ vet:
 # invariants (lock hierarchy with module-wide deadlock-cycle detection,
 # atomic-only fields, the simulated-clock rule, the duplexed-front
 # rule, dropped or never-waited CF command errors, context-first
-# command signatures, goroutine shutdown paths, wire-protocol table
-# exhaustiveness, and the suppression census). See DESIGN.md
+# command signatures, goroutine shutdown paths, collision-free wire
+# byte tables with a covering status-sentinel index, and the
+# suppression census). See DESIGN.md
 # "Interprocedural enforcement". The driver prints load+analyze wall
 # time on stderr.
 lint:
@@ -90,3 +91,10 @@ examples-smoke:
 		echo "== examples/$$ex"; \
 		timeout 60 $(GO) run ./examples/$$ex >/dev/null || exit 1; \
 	done
+
+# Net non-test Go LOC, the size figure ROADMAP tracks: every non-test
+# .go file except the benchmark module (cmd/oltpbench) and the lint
+# analyzers' fixtures (internal/analysis/testdata).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './cmd/oltpbench/*' \
+		-not -path './internal/analysis/testdata/*' -not -path './.bench_build/*' | xargs cat | wc -l

@@ -1621,7 +1621,7 @@ func batchBench() error {
 	relCmds := func(base, off, n int) []cf.BatchCmd {
 		cmds := make([]cf.BatchCmd, n)
 		for i := 0; i < n; i++ {
-			cmds[i] = cf.BatchLockRelease((base+off+i)%entries, "SYS1", cf.Exclusive)
+			cmds[i] = cf.BatchCmd{Op: cf.CmdLockRelease, Idx: (base + off + i) % entries, Conn: "SYS1", Mode: cf.Exclusive}
 		}
 		return cmds
 	}

@@ -44,9 +44,9 @@
 //   - goroleak: every goroutine spawned under internal/ has a provable
 //     shutdown path — a loop that can exit (ctx/done select, bounded
 //     range, error return) or a `// lintgo: <reason>` escape.
-//   - wireproto: the cflink opcode and status-byte tables and
-//     `// lintwire: enum` types are collision-free and exhaustively
-//     handled on client, server, and codec.
+//   - wireproto: the cflink byte tables still written by hand (node
+//     opcodes, connection kinds, status bytes) are collision-free, and
+//     the status bytes' sentinel index covers every code.
 //   - durability: raw *os.File writes in the DASD tree reach
 //     (*os.File).Sync on some path, so no acknowledged bytes can sit
 //     forever in the page cache; a deliberate group-commit deferral is

@@ -15,14 +15,13 @@ func drops(l cf.Lock, ls cf.List) {
 	defer ls.ReleaseLock(context.Background(), 0, "SYS1")           // want `defer statement drops the error from cf.ReleaseLock`
 }
 
-func asyncDrops(d *cf.Duplexed, a *cf.AsyncCtx) {
-	_, _ = d.RunAsync(context.Background(), "IRLM")  // want `assignment discards the async completion handle from cf.RunAsync`
-	_, err := a.Run(context.Background(), "IRLM")    // want `assignment discards the async completion handle from cf.Run`
+func asyncDrops(a *cf.AsyncCtx) {
+	_, err := a.Run(context.Background(), "IRLM") // want `assignment discards the async completion handle from cf.Run`
 	_ = err
 }
 
-func asyncHandled(d *cf.Duplexed, a *cf.AsyncCtx) error {
-	c, err := d.RunAsync(context.Background(), "IRLM")
+func asyncHandled(a *cf.AsyncCtx) error {
+	c, err := a.Run(context.Background(), "IRLM")
 	if err != nil {
 		return err
 	}
@@ -39,8 +38,8 @@ func asyncHandled(d *cf.Duplexed, a *cf.AsyncCtx) error {
 // storedNeverWaited keeps the handle but never polls Done, calls Wait,
 // or reads Err — the async command's error is dropped one assignment
 // later than a blank would have dropped it.
-func storedNeverWaited(d *cf.Duplexed) error {
-	c, err := d.RunAsync(context.Background(), "IRLM") // want `completion handle c is stored but never waited`
+func storedNeverWaited(a *cf.AsyncCtx) error {
+	c, err := a.Run(context.Background(), "IRLM") // want `completion handle c is stored but never waited`
 	if err != nil {
 		return err
 	}
@@ -53,8 +52,8 @@ func storedNeverWaited(d *cf.Duplexed) error {
 
 // escapedHandle sends the handle somewhere a Wait can still happen, so
 // it is not flagged.
-func escapedHandle(d *cf.Duplexed, sink chan *cf.Completion) error {
-	c, err := d.RunAsync(context.Background(), "IRLM")
+func escapedHandle(a *cf.AsyncCtx, sink chan *cf.Completion) error {
+	c, err := a.Run(context.Background(), "IRLM")
 	if err != nil {
 		return err
 	}
@@ -64,8 +63,8 @@ func escapedHandle(d *cf.Duplexed, sink chan *cf.Completion) error {
 
 // returnedHandle hands the completion to the caller — their
 // responsibility now.
-func returnedHandle(d *cf.Duplexed) (*cf.Completion, error) {
-	c, err := d.RunAsync(context.Background(), "IRLM")
+func returnedHandle(a *cf.AsyncCtx) (*cf.Completion, error) {
+	c, err := a.Run(context.Background(), "IRLM")
 	return c, err
 }
 

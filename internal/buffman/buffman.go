@@ -69,6 +69,18 @@ type frame struct {
 	data    []byte
 	lastUse int64
 	used    bool
+	// gen counts installs into this frame slot; it only grows. A refresh
+	// reads the CF outside p.mu and installs its image only if gen has
+	// not moved meanwhile — a same-system write may have landed a newer
+	// image in between.
+	gen uint64
+}
+
+// setFrameLocked installs f into slot i, advancing the slot's
+// generation. Caller holds p.mu.
+func (p *Pool) setFrameLocked(i int, f frame) {
+	f.gen = p.frames[i].gen + 1
+	p.frames[i] = f
 }
 
 // NewPool creates a pool with n local frames, connects it to the cache
@@ -137,21 +149,27 @@ func (p *Pool) GetPage(ctx context.Context, name string) ([]byte, error) {
 		}
 		// Peer invalidated our copy: re-register with the CF.
 		p.stats.Invalidated++
+		gen := p.frames[idx].gen
 		p.mu.Unlock()
-		return p.refresh(ctx, name, idx)
+		return p.refresh(ctx, name, idx, gen)
 	}
 	idx, err := p.allocFrameLocked(ctx, name)
 	if err != nil {
 		p.mu.Unlock()
 		return nil, err
 	}
+	gen := p.frames[idx].gen
 	p.mu.Unlock()
-	return p.refresh(ctx, name, idx)
+	return p.refresh(ctx, name, idx, gen)
 }
 
-// refresh re-registers interest and fills the frame from the global
-// cache or DASD.
-func (p *Pool) refresh(ctx context.Context, name string, idx int) ([]byte, error) {
+// refresh re-registers interest and fills frame idx, last seen at
+// generation gen, from the global cache or DASD. The read runs outside
+// p.mu, and a page reader holds only a record lock, not the page: a
+// same-system WritePage can install a newer image meanwhile. The read
+// image is then older than the frame, so it is not installed and the
+// newer frame is returned instead.
+func (p *Pool) refresh(ctx context.Context, name string, idx int, gen uint64) ([]byte, error) {
 	cs := p.structure()
 	res, err := cs.ReadAndRegister(ctx, p.sys, name, idx)
 	if err != nil {
@@ -175,9 +193,17 @@ func (p *Pool) refresh(ctx context.Context, name string, idx int) ([]byte, error
 		p.mu.Unlock()
 	}
 	p.mu.Lock()
-	p.frames[idx] = frame{name: name, data: append([]byte(nil), data...), lastUse: p.bumpTick(), used: true}
+	defer p.mu.Unlock()
+	if f := &p.frames[idx]; f.gen != gen {
+		if f.used && f.name == name && f.data != nil {
+			return append([]byte(nil), f.data...), nil
+		}
+		// The slot went to another page: hand back the image read,
+		// without installing it.
+		return append([]byte(nil), data...), nil
+	}
+	p.setFrameLocked(idx, frame{name: name, data: append([]byte(nil), data...), lastUse: p.bumpTick(), used: true})
 	p.byName[name] = idx
-	p.mu.Unlock()
 	return append([]byte(nil), data...), nil
 }
 
@@ -201,7 +227,7 @@ func (p *Pool) WritePage(ctx context.Context, name string, data []byte) error {
 		}
 		p.byName[name] = idx
 	}
-	p.frames[idx] = frame{name: name, data: append([]byte(nil), data...), lastUse: p.bumpTick(), used: true}
+	p.setFrameLocked(idx, frame{name: name, data: append([]byte(nil), data...), lastUse: p.bumpTick(), used: true})
 	p.stats.Writes++
 	p.mu.Unlock()
 	err := p.structure().WriteAndInvalidate(ctx, p.sys, name, data, true, true, idx)
@@ -213,7 +239,7 @@ func (p *Pool) WritePage(ctx context.Context, name string, data []byte) error {
 		p.mu.Lock()
 		if i, ok := p.byName[name]; ok && i == idx {
 			delete(p.byName, name)
-			p.frames[i] = frame{}
+			p.setFrameLocked(i, frame{})
 			p.vec.Clear(i)
 		}
 		p.mu.Unlock()
@@ -264,7 +290,7 @@ func (p *Pool) WritePages(ctx context.Context, pages map[string][]byte) error {
 			}
 			p.byName[name] = idx
 		}
-		p.frames[idx] = frame{name: name, data: append([]byte(nil), data...), lastUse: p.bumpTick(), used: true}
+		p.setFrameLocked(idx, frame{name: name, data: append([]byte(nil), data...), lastUse: p.bumpTick(), used: true})
 		p.stats.Writes++
 		idxs[name] = idx
 	}
@@ -284,7 +310,7 @@ func (p *Pool) WritePages(ctx context.Context, pages map[string][]byte) error {
 			if len(cmds) > 0 && bytes+len(data) > batchWriteBytes {
 				break
 			}
-			cmds = append(cmds, cf.BatchCacheWrite(p.sys, names[end], data, true, true, idxs[names[end]]))
+			cmds = append(cmds, cf.BatchCmd{Op: cf.CmdCacheWrite, Conn: p.sys, Name: names[end], Data: data, Cache: true, Changed: true, VecIdx: idxs[names[end]]})
 			bytes += len(data)
 			end++
 		}
@@ -328,7 +354,7 @@ func (p *Pool) dropFrames(idxs map[string]int) {
 	for name, idx := range idxs {
 		if i, ok := p.byName[name]; ok && i == idx {
 			delete(p.byName, name)
-			p.frames[i] = frame{}
+			p.setFrameLocked(i, frame{})
 			p.vec.Clear(i)
 		}
 	}
@@ -378,7 +404,7 @@ func (p *Pool) Rebind(ctx context.Context, cs cf.Cache) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range p.frames {
-		p.frames[i] = frame{}
+		p.setFrameLocked(i, frame{})
 	}
 	p.byName = make(map[string]int)
 	p.vec.ClearAll()
@@ -393,7 +419,7 @@ func (p *Pool) Invalidate(ctx context.Context, name string) {
 	idx, ok := p.byName[name]
 	if ok {
 		delete(p.byName, name)
-		p.frames[idx] = frame{}
+		p.setFrameLocked(idx, frame{})
 		p.vec.Clear(idx)
 	}
 	cs := p.cs
@@ -411,7 +437,7 @@ func (p *Pool) allocFrameLocked(ctx context.Context, name string) (int, error) {
 	// Free frame?
 	for i := range p.frames {
 		if !p.frames[i].used {
-			p.frames[i] = frame{name: name, lastUse: p.bumpTick(), used: true}
+			p.setFrameLocked(i, frame{name: name, lastUse: p.bumpTick(), used: true})
 			p.byName[name] = i
 			return i, nil
 		}
@@ -430,7 +456,7 @@ func (p *Pool) allocFrameLocked(ctx context.Context, name string) (int, error) {
 	}
 	old := p.frames[victim].name
 	delete(p.byName, old)
-	p.frames[victim] = frame{name: name, lastUse: p.bumpTick(), used: true}
+	p.setFrameLocked(victim, frame{name: name, lastUse: p.bumpTick(), used: true})
 	p.byName[name] = victim
 	p.vec.Clear(victim)
 	p.stats.Evictions++

@@ -335,3 +335,63 @@ func TestRebindStartsCleanOnNewStructure(t *testing.T) {
 		t.Fatalf("registered = %v", regs)
 	}
 }
+
+// writeDuringRead is a cf.Cache whose next ReadAndRegister runs hook
+// after the CF has answered — between the pool's CF read and its frame
+// install, the window a same-system commit can land in.
+type writeDuringRead struct {
+	cf.Cache
+	hook func()
+}
+
+func (c *writeDuringRead) ReadAndRegister(ctx context.Context, conn, name string, vecIdx int) (cf.ReadResult, error) {
+	res, err := c.Cache.ReadAndRegister(ctx, conn, name, vecIdx)
+	if h := c.hook; h != nil {
+		c.hook = nil
+		h()
+	}
+	return res, err
+}
+
+// TestRefreshDoesNotOverwriteConcurrentWrite pins the lost-update race:
+// a page refresh read the CF, a WritePage of the same page on the same
+// system installed a newer image, and the refresh then installed the
+// older image over it. The next local hit served the stale page, and a
+// later commit built on it wrote the stale image back.
+func TestRefreshDoesNotOverwriteConcurrentWrite(t *testing.T) {
+	ctx := context.Background()
+	fac := cf.New("CF01", vclock.Real())
+	cs, err := fac.AllocateCacheStructure("GBP0", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dasd := newFakeDASD()
+	rc := &writeDuringRead{Cache: cs}
+	p, err := NewPool(ctx, "SYS1", rc, 4, dasd.reader(), dasd.writer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WritePage(ctx, "P1", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	p.Invalidate(ctx, "P1") // the next read goes to the CF
+	rc.hook = func() {
+		if err := p.WritePage(ctx, "P1", []byte("v2")); err != nil {
+			t.Errorf("WritePage during refresh: %v", err)
+		}
+	}
+	got, err := p.GetPage(ctx, "P1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "v2" {
+		t.Fatalf("refresh returned %q, want the newer frame v2", got)
+	}
+	got, err = p.GetPage(ctx, "P1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "v2" {
+		t.Fatalf("read after refresh = %q, want v2: the refresh installed its older image", got)
+	}
+}

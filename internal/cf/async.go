@@ -13,7 +13,7 @@
 // concurrency is bounded by the slot count, like real subchannels.
 //
 // Completions carry the same error sentinels as synchronous dispatch,
-// and the underlying execution is runBatch, so the no-partial-effect
+// and the underlying execution is the pipeline's batch envelope, so the no-partial-effect
 // cancellation guarantee and failover retry hold unchanged. A
 // Completion must be retrieved (Wait, Err, or Errs) — an abandoned
 // handle both leaks its slot and drops a possible CF error, which the
@@ -48,13 +48,12 @@ const defaultAsyncSlots = 64
 // asyncSlot is one in-flight command's state. Between issue and
 // retrieval the slot belongs to exactly one Completion.
 type asyncSlot struct {
-	ctx   context.Context
-	name  string
-	model Model
-	cmds  []BatchCmd
-	errs  []error
-	err   error
-	seq   uint64 // issue sequence, guards against stale handles
+	ctx  context.Context
+	name string
+	cmds []BatchCmd
+	errs []error
+	err  error
+	seq  uint64 // issue sequence, guards against stale handles
 }
 
 // AsyncCtx is one connector's asynchronous dispatch context: a
@@ -136,11 +135,7 @@ func (a *AsyncCtx) Run(ctx context.Context, structure string, cmds ...BatchCmd) 
 	if len(cmds) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBadArgument)
 	}
-	_, model, ok := cmds[0].Op.kind()
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown batch op %d", ErrBadArgument, int(cmds[0].Op))
-	}
-	if err := ValidateBatch(model, cmds); err != nil {
+	if err := ValidateBatch(cmds[0].Op.Model(), cmds); err != nil {
 		return nil, err
 	}
 	a.mu.Lock()
@@ -154,7 +149,7 @@ func (a *AsyncCtx) Run(ctx context.Context, structure string, cmds ...BatchCmd) 
 	idx := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
 	a.seq++
-	a.slots[idx] = asyncSlot{ctx: ctx, name: structure, model: model, cmds: cmds, seq: a.seq}
+	a.slots[idx] = asyncSlot{ctx: ctx, name: structure, cmds: cmds, seq: a.seq}
 	a.vec.Clear(idx)
 	a.gInFlight.Add(1)
 	a.gTotal.Add(1)
@@ -172,8 +167,16 @@ func (a *AsyncCtx) worker() {
 	for idx := range a.queue {
 		s := &a.slots[idx]
 		// The slot is owned by this worker between dequeue and the bit
-		// flip; ctx/name/model/cmds are immutable for that window.
-		errs, err := a.d.runBatch(s.ctx, s.name, s.model, s.cmds)
+		// flip; ctx/name/cmds are immutable for that window.
+		var (
+			errs []error
+			err  error
+		)
+		if p := a.d.pair(s.name); p == nil {
+			err = fmt.Errorf("%w: %q", ErrNoStructure, s.name)
+		} else {
+			errs, err = p.Batch(s.ctx, s.cmds)
+		}
 		a.mu.Lock()
 		s.errs, s.err = errs, err
 		a.gInFlight.Add(-1)
@@ -288,35 +291,4 @@ func (c *Completion) Errs() ([]error, error) {
 	}
 	c.retrieveLocked()
 	return c.errs, c.err
-}
-
-// RunAsync issues one envelope asynchronously through the front's
-// shared dispatch context (created on first use, owner "front").
-// Subsystems with their own connector identity should hold a
-// per-connector AsyncCtx from NewAsync instead, so RMF's in-flight
-// gauges attribute depth to the right system.
-func (d *Duplexed) RunAsync(ctx context.Context, structure string, cmds ...BatchCmd) (*Completion, error) {
-	return d.defaultAsync().Run(ctx, structure, cmds...)
-}
-
-// defaultAsync returns the front's shared AsyncCtx, creating it on
-// first use. Losers of the creation race close their spare.
-func (d *Duplexed) defaultAsync() *AsyncCtx {
-	d.mu.Lock()
-	a := d.async
-	d.mu.Unlock()
-	if a != nil {
-		return a
-	}
-	fresh := d.NewAsync("front", defaultAsyncSlots)
-	d.mu.Lock()
-	if d.async == nil {
-		d.async = fresh
-	}
-	a = d.async
-	d.mu.Unlock()
-	if a != fresh {
-		fresh.Close()
-	}
-	return a
 }

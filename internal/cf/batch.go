@@ -24,8 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"time"
 
 	"sysplex/internal/metrics"
 	"sysplex/internal/vclock"
@@ -35,197 +33,10 @@ import (
 // stripe footprint and wire frame bounded; exploiters chunk above it.
 const MaxBatchOps = 1024
 
-// BatchOp identifies one subcommand kind inside a batch. Only mutating
-// commands without result payloads batch — reads want their data back,
-// which the one-command path already returns. The lintwire annotation
-// makes sysplexlint require every switch over BatchOp — here, in the
-// codec, anywhere — to name every constant: a new subcommand that
-// reaches only two of the three parallel switches fails `make lint`
-// instead of silently falling through a default arm.
-//
-// lintwire: enum
-type BatchOp uint8
-
-const (
-	// Lock model.
-	BatchOpLockRelease BatchOp = iota + 1
-	BatchOpLockForce
-	BatchOpLockSetRecord
-	BatchOpLockDelRecord
-	// Cache model.
-	BatchOpCacheWrite
-	BatchOpCacheUnregister
-	BatchOpCacheCastoutEnd
-	// List model.
-	BatchOpListWrite
-	BatchOpListDelete
-)
-
-// String names the subcommand kind (metrics/error naming reuses the
-// one-command kind table).
-func (o BatchOp) String() string {
-	if k, _, ok := o.kind(); ok {
-		return opKindNames[k]
-	}
-	return fmt.Sprintf("batchop(%d)", int(o))
-}
-
-// Model reports the structure model the subcommand belongs to (false
-// for an unknown op). The transport server uses it to type an
-// incoming envelope before looking up the structure.
-func (o BatchOp) Model() (Model, bool) {
-	_, m, ok := o.kind()
-	return m, ok
-}
-
-// kind maps the subcommand to its pipeline opKind and structure model.
-func (o BatchOp) kind() (opKind, Model, bool) {
-	switch o {
-	case BatchOpLockRelease:
-		return opLockRelease, LockModel, true
-	case BatchOpLockForce:
-		return opLockForce, LockModel, true
-	case BatchOpLockSetRecord:
-		return opLockSetRecord, LockModel, true
-	case BatchOpLockDelRecord:
-		return opLockDelRecord, LockModel, true
-	case BatchOpCacheWrite:
-		return opCacheWrite, CacheModel, true
-	case BatchOpCacheUnregister:
-		return opCacheUnregister, CacheModel, true
-	case BatchOpCacheCastoutEnd:
-		return opCacheCastoutEnd, CacheModel, true
-	case BatchOpListWrite:
-		return opListWrite, ListModel, true
-	case BatchOpListDelete:
-		return opListDelete, ListModel, true
-	default:
-		return 0, 0, false
-	}
-}
-
-// BatchCmd is one subcommand of a batch envelope: the union of the
-// batchable commands' parameters. Build them with the BatchXxx
-// constructors, which fill exactly the fields their command reads.
-type BatchCmd struct {
-	Op   BatchOp
-	Conn string // issuing connector
-	Name string // lock-record resource / cache block name / list entry ID
-	Idx  int    // lock entry index / list header index
-
-	Mode LockMode // lock ops
-
-	Data    []byte // cache block / list entry payload
-	Cache   bool   // cache write: retain the data in the structure
-	Changed bool   // cache write: mark the block changed (castout pending)
-	VecIdx  int    // cache write: writer's own validity-vector index
-	Version uint64 // cache castout-end
-
-	Key   string // list write: entry key
-	Order Order  // list write
-	Cond  Cond   // list write / delete
-}
-
-// BatchLockRelease drops one unit of lock interest (Lock.Release).
-func BatchLockRelease(idx int, conn string, mode LockMode) BatchCmd {
-	return BatchCmd{Op: BatchOpLockRelease, Idx: idx, Conn: conn, Mode: mode}
-}
-
-// BatchLockForce records lock interest unconditionally (Lock.ForceObtain).
-func BatchLockForce(idx int, conn string, mode LockMode) BatchCmd {
-	return BatchCmd{Op: BatchOpLockForce, Idx: idx, Conn: conn, Mode: mode}
-}
-
-// BatchLockSetRecord stores a persistent lock record (Lock.SetRecord).
-func BatchLockSetRecord(conn, resource string, mode LockMode) BatchCmd {
-	return BatchCmd{Op: BatchOpLockSetRecord, Conn: conn, Name: resource, Mode: mode}
-}
-
-// BatchLockDelRecord removes a persistent lock record (Lock.DeleteRecord).
-func BatchLockDelRecord(conn, resource string) BatchCmd {
-	return BatchCmd{Op: BatchOpLockDelRecord, Conn: conn, Name: resource}
-}
-
-// BatchCacheWrite stores a block version (Cache.WriteAndInvalidate).
-func BatchCacheWrite(conn, name string, data []byte, cache, changed bool, vecIdx int) BatchCmd {
-	return BatchCmd{Op: BatchOpCacheWrite, Conn: conn, Name: name, Data: data,
-		Cache: cache, Changed: changed, VecIdx: vecIdx}
-}
-
-// BatchCacheUnregister removes cache interest (Cache.Unregister).
-func BatchCacheUnregister(conn, name string) BatchCmd {
-	return BatchCmd{Op: BatchOpCacheUnregister, Conn: conn, Name: name}
-}
-
-// BatchCacheCastoutEnd completes a castout (Cache.CastoutEnd).
-func BatchCacheCastoutEnd(conn, name string, version uint64) BatchCmd {
-	return BatchCmd{Op: BatchOpCacheCastoutEnd, Conn: conn, Name: name, Version: version}
-}
-
-// BatchListWrite creates or updates a list entry (List.Write).
-func BatchListWrite(conn string, list int, id, key string, data []byte, order Order, cond Cond) BatchCmd {
-	return BatchCmd{Op: BatchOpListWrite, Conn: conn, Idx: list, Name: id, Key: key,
-		Data: data, Order: order, Cond: cond}
-}
-
-// BatchListDelete removes a list entry (List.Delete).
-func BatchListDelete(conn, id string, cond Cond) BatchCmd {
-	return BatchCmd{Op: BatchOpListDelete, Conn: conn, Name: id, Cond: cond}
-}
-
-// order reports the subcommand's ordering class and key, identical to
-// the classification its one-command front method uses.
-func (c *BatchCmd) order() (OpOrder, string) {
-	switch c.Op {
-	case BatchOpLockRelease, BatchOpLockForce:
-		return OpKeyed, "e" + strconv.Itoa(c.Idx)
-	case BatchOpLockSetRecord, BatchOpLockDelRecord:
-		return OpKeyed, "r" + c.Conn
-	case BatchOpCacheWrite, BatchOpCacheUnregister, BatchOpCacheCastoutEnd:
-		return OpKeyed, "b" + c.Name
-	case BatchOpListWrite:
-		return OpKeyed, "l" + strconv.Itoa(c.Idx)
-	case BatchOpListDelete:
-		// Global, like DuplexedList.Delete.
-		return OpGlobal, ""
-	default:
-		// Unknown op: ValidateBatch rejects it before ordering matters;
-		// classing it global keeps the failure deterministic.
-		return OpGlobal, ""
-	}
-}
-
-// apply executes the subcommand against one replica handle, asserting
-// it to its model interface exactly as the one-command closures do.
-func (c *BatchCmd) apply(ctx context.Context, s Replica) error {
-	switch c.Op {
-	case BatchOpLockRelease:
-		return s.(Lock).Release(ctx, c.Idx, c.Conn, c.Mode)
-	case BatchOpLockForce:
-		return s.(Lock).ForceObtain(ctx, c.Idx, c.Conn, c.Mode)
-	case BatchOpLockSetRecord:
-		return s.(Lock).SetRecord(ctx, c.Conn, c.Name, c.Mode)
-	case BatchOpLockDelRecord:
-		return s.(Lock).DeleteRecord(ctx, c.Conn, c.Name)
-	case BatchOpCacheWrite:
-		return s.(Cache).WriteAndInvalidate(ctx, c.Conn, c.Name, c.Data, c.Cache, c.Changed, c.VecIdx)
-	case BatchOpCacheUnregister:
-		return s.(Cache).Unregister(ctx, c.Conn, c.Name)
-	case BatchOpCacheCastoutEnd:
-		return s.(Cache).CastoutEnd(ctx, c.Conn, c.Name, c.Version)
-	case BatchOpListWrite:
-		return s.(List).Write(ctx, c.Conn, c.Idx, c.Name, c.Key, c.Data, c.Order, c.Cond)
-	case BatchOpListDelete:
-		return s.(List).Delete(ctx, c.Conn, c.Name, c.Cond)
-	default:
-		return fmt.Errorf("%w: unknown batch op %d", ErrBadArgument, int(c.Op))
-	}
-}
-
 // ValidateBatch checks an envelope against a structure model: size
-// bounds and every subcommand belonging to that model. Both ends of
-// the link run it — the client before encoding a frame, the pipeline
-// before touching a replica.
+// bounds and every subcommand a batchable command of that model. The
+// duplexed front runs it before the pipeline, and a structure before
+// applying an envelope — on a cflink server, at its trust boundary.
 func ValidateBatch(model Model, cmds []BatchCmd) error {
 	if len(cmds) == 0 {
 		return fmt.Errorf("%w: empty batch", ErrBadArgument)
@@ -234,23 +45,16 @@ func ValidateBatch(model Model, cmds []BatchCmd) error {
 		return fmt.Errorf("%w: batch of %d exceeds %d subcommands", ErrBadArgument, len(cmds), MaxBatchOps)
 	}
 	for i := range cmds {
-		_, m, ok := cmds[i].Op.kind()
-		if !ok {
-			return fmt.Errorf("%w: subcommand %d: unknown batch op %d", ErrBadArgument, i, int(cmds[i].Op))
+		op := cmds[i].Op
+		if !op.Batchable() {
+			return fmt.Errorf("%w: subcommand %d: %s cannot be batched", ErrBadArgument, i, op)
 		}
-		if m != model {
+		if m := op.Model(); m != model {
 			return fmt.Errorf("%w: subcommand %d is a %s command in a %s batch",
 				ErrBadArgument, i, m, model)
 		}
 	}
 	return nil
-}
-
-// batcher is the batch entry point shared by all nine structure
-// handles (concrete, duplexed, remote); the pipeline asserts a replica
-// to it instead of switching on the model.
-type batcher interface {
-	Batch(ctx context.Context, cmds []BatchCmd) ([]error, error)
 }
 
 // batchApply executes an envelope against one in-process structure:
@@ -261,7 +65,7 @@ type batcher interface {
 // gates still run (down-check, failure injection, per-command
 // metrics); only the caller's cancellation is consulted batch-wide, so
 // a cancellation can never split the envelope.
-func batchApply(ctx context.Context, f *Facility, model Model, rep Replica, cmds []BatchCmd) ([]error, error) {
+func batchApply(ctx context.Context, f *Facility, model Model, s structure, cmds []BatchCmd) ([]error, error) {
 	if err := ValidateBatch(model, cmds); err != nil {
 		return nil, err
 	}
@@ -271,7 +75,8 @@ func batchApply(ctx context.Context, f *Facility, model Model, rep Replica, cmds
 	dctx := vclock.Detach(ctx)
 	errs := make([]error, len(cmds))
 	for i := range cmds {
-		err := cmds[i].apply(dctx, rep)
+		// Batchable commands return no results, so no Result is needed.
+		err := execLocal(dctx, s, model, &cmds[i], nil)
 		if errors.Is(err, ErrCFDown) {
 			// Facility death is batch-level: the whole envelope fails so
 			// the duplexed front can fail over and re-drive it.
@@ -295,21 +100,6 @@ func (s *CacheStructure) Batch(ctx context.Context, cmds []BatchCmd) ([]error, e
 // Batch executes an envelope of list-model subcommands.
 func (s *ListStructure) Batch(ctx context.Context, cmds []BatchCmd) ([]error, error) {
 	return batchApply(ctx, s.facility, ListModel, s, cmds)
-}
-
-// Batch dispatches an envelope through the duplexed pipeline.
-func (l *DuplexedLock) Batch(ctx context.Context, cmds []BatchCmd) ([]error, error) {
-	return l.d.runBatch(ctx, l.name, LockModel, cmds)
-}
-
-// Batch dispatches an envelope through the duplexed pipeline.
-func (c *DuplexedCache) Batch(ctx context.Context, cmds []BatchCmd) ([]error, error) {
-	return c.d.runBatch(ctx, c.name, CacheModel, cmds)
-}
-
-// Batch dispatches an envelope through the duplexed pipeline.
-func (l *DuplexedList) Batch(ctx context.Context, cmds []BatchCmd) ([]error, error) {
-	return l.d.runBatch(ctx, l.name, ListModel, cmds)
 }
 
 // batchOccBucket maps an envelope size to its occupancy bucket (the
@@ -352,133 +142,20 @@ func (d *Duplexed) connBatchCounters(conn string) (cnt, ops *metrics.Counter) {
 	return pp[0], pp[1]
 }
 
-// runBatch is the batch twin of run(): the same fixed stage order —
-// gate → metrics → inject → retry → route — traversed once for the
-// whole envelope.
-//
-// Route takes every ordering stripe the subcommands hash to (ascending
-// stripe index, the same order eachPair walks, so batches cannot
-// deadlock each other), or the structure-global lock when any
-// subcommand is OpGlobal. Retry re-drives the entire envelope after an
-// in-line failover; the promoted replica never saw any of it (mirrors
-// run only after the primary completes the whole envelope), so
-// re-driving keeps the surviving replicas identical.
-//
-// No-partial-batch: the caller's context is consulted at the gate and
-// between retry attempts only; every subcommand applies under a
-// detached context on both replicas. A cancellation therefore lands
-// before any subcommand touches a replica, or not at all.
-func (d *Duplexed) runBatch(ctx context.Context, name string, model Model, cmds []BatchCmd) ([]error, error) {
-	if err := ValidateBatch(model, cmds); err != nil {
-		return nil, err
-	}
-	// gate: one deadline/cancellation poll covers the envelope.
-	if err := vclock.Check(ctx, d.clock); err != nil {
-		return nil, err
-	}
-	// Classify subcommands once: ordering-stripe set (pairStripes == 64,
-	// so the set is one word) and the envelope's widest order class.
-	var stripeMask uint64
-	ord := OpKeyed
+// countBatch is the metrics stage for an envelope: each subcommand
+// counts under its own kind (pre-resolved handles), the envelope under
+// cfrm.op.batch, plus occupancy buckets and per-connector attribution
+// for RMF's clone sections.
+func (d *Duplexed) countBatch(cmds []BatchCmd) {
 	for i := range cmds {
-		o, key := cmds[i].order()
-		if o == OpGlobal {
-			ord = OpGlobal
-		} else {
-			stripeMask |= 1 << uint(pairStripeIdx(key))
-		}
+		d.opCounters[cmds[i].Op].Inc()
 	}
-	// metrics: each subcommand counts under its own kind (pre-resolved
-	// handles), the envelope under cfrm.op.batch, plus occupancy buckets
-	// and per-connector attribution for RMF's clone sections.
-	for i := range cmds {
-		k, _, _ := cmds[i].Op.kind()
-		d.opCounters[k].Inc()
-	}
-	d.opCounters[opBatch].Inc()
+	d.opCounters[CmdBatch].Inc()
 	d.cBatchOps.Add(int64(len(cmds)))
 	d.cBatchOcc[batchOccBucket(len(cmds))].Inc()
 	if conn := cmds[0].Conn; conn != "" {
 		cnt, ops := d.connBatchCounters(conn)
 		cnt.Inc()
 		ops.Add(int64(len(cmds)))
-	}
-	// inject: one hook invocation for the envelope.
-	if fn := d.inject.Load(); fn != nil {
-		hop := Op{Structure: name, Kind: opKindNames[opBatch], Order: ord, k: opBatch}
-		if err := (*fn)(ctx, &hop); err != nil {
-			return nil, err
-		}
-	}
-	// route: resolve the pair, take the envelope's ordering locks.
-	p := d.pair(name)
-	if p == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoStructure, name)
-	}
-	if ord == OpGlobal {
-		p.rw.Lock()
-		defer p.rw.Unlock()
-	} else {
-		p.rw.RLock()
-		defer p.rw.RUnlock()
-		for i := 0; i < pairStripes; i++ {
-			if stripeMask&(1<<uint(i)) != 0 {
-				st := &p.stripes[i]
-				st.Lock()
-				defer st.Unlock()
-			}
-		}
-	}
-	// retry: apply the envelope to the primary, mirror to the secondary.
-	backoff := time.Duration(0)
-	for attempt := 1; ; attempt++ {
-		h, err := p.handles()
-		if err != nil {
-			return nil, err
-		}
-		start := d.clock.Now()
-		perrs, perr := h.pri.(batcher).Batch(ctx, cmds)
-		if perr != nil {
-			if errors.Is(perr, ErrCFDown) {
-				if !d.failover(h.priNode) {
-					return nil, perr
-				}
-				if attempt >= maxFailoverRetries {
-					return nil, fmt.Errorf("cf: %s of %d on %q failed after %d failover retries: %w",
-						opKindNames[opBatch], len(cmds), name, attempt, ErrCFDown)
-				}
-				d.cRetried.Inc()
-				if cerr := vclock.Check(ctx, d.clock); cerr != nil {
-					return nil, cerr
-				}
-				if backoff > 0 {
-					d.clock.Sleep(backoff)
-				}
-				if backoff = backoff * 2; backoff < retryBackoffBase {
-					backoff = retryBackoffBase
-				} else if backoff > retryBackoffMax {
-					backoff = retryBackoffMax
-				}
-				continue
-			}
-			// Cancellation at the primary's gate, or a batch-level
-			// rejection: nothing applied anywhere — do not mirror.
-			return nil, perr
-		}
-		if h.sec != nil {
-			serrs, serr := h.sec.(batcher).Batch(vclock.Detach(ctx), cmds)
-			if serr != nil {
-				d.breakDuplex(h.secNode)
-			} else {
-				for i := range perrs {
-					if !sameOutcome(perrs[i], serrs[i]) {
-						d.breakDuplex(h.secNode)
-						break
-					}
-				}
-			}
-			d.hFanout.Observe(d.clock.Since(start))
-		}
-		return perrs, nil
 	}
 }

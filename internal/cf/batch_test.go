@@ -25,9 +25,9 @@ func TestBatchMirrorsToBothReplicas(t *testing.T) {
 		}
 	}
 	errs, err := ls.Batch(context.Background(), []BatchCmd{
-		BatchLockSetRecord("SYS1", "ACCT/k1", Exclusive),
-		BatchLockRelease(3, "SYS1", Exclusive),
-		BatchLockRelease(9, "SYS1", Exclusive),
+		BatchCmd{Op: CmdLockSetRec, Conn: "SYS1", Name: "ACCT/k1", Mode: Exclusive},
+		BatchCmd{Op: CmdLockRelease, Idx: 3, Conn: "SYS1", Mode: Exclusive},
+		BatchCmd{Op: CmdLockRelease, Idx: 9, Conn: "SYS1", Mode: Exclusive},
 	})
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
@@ -84,9 +84,9 @@ func TestBatchPerSubErrorsDoNotAbortEnvelope(t *testing.T) {
 	// Middle subcommand fails logically; the rest of the envelope must
 	// still run — that's the per-subcommand status byte contract.
 	errs, err := ls.Batch(context.Background(), []BatchCmd{
-		BatchListDelete("SYS1", "e1", Cond{}),
-		BatchListDelete("SYS1", "missing", Cond{}),
-		BatchListDelete("SYS1", "e2", Cond{}),
+		BatchCmd{Op: CmdListDelete, Conn: "SYS1", Name: "e1", Cond: Cond{}},
+		BatchCmd{Op: CmdListDelete, Conn: "SYS1", Name: "missing", Cond: Cond{}},
+		BatchCmd{Op: CmdListDelete, Conn: "SYS1", Name: "e2", Cond: Cond{}},
 	})
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
@@ -119,13 +119,13 @@ func TestBatchValidation(t *testing.T) {
 	}
 	// A subcommand from the wrong model must be rejected up front.
 	if _, err := ls.Batch(context.Background(), []BatchCmd{
-		BatchListDelete("SYS1", "e1", Cond{}),
+		BatchCmd{Op: CmdListDelete, Conn: "SYS1", Name: "e1", Cond: Cond{}},
 	}); !errors.Is(err, ErrBadArgument) {
 		t.Fatalf("cross-model batch: %v, want ErrBadArgument", err)
 	}
 	over := make([]BatchCmd, MaxBatchOps+1)
 	for i := range over {
-		over[i] = BatchLockRelease(0, "SYS1", Share)
+		over[i] = BatchCmd{Op: CmdLockRelease, Idx: 0, Conn: "SYS1", Mode: Share}
 	}
 	if _, err := ls.Batch(context.Background(), over); !errors.Is(err, ErrBadArgument) {
 		t.Fatalf("oversized batch: %v, want ErrBadArgument", err)
@@ -157,7 +157,7 @@ func TestAsyncCompletionVector(t *testing.T) {
 			comps = comps[1:]
 		}
 		c, err := a.Run(context.Background(), "WORKQ",
-			BatchListWrite("SYS1", i%4, "id"+strconv.Itoa(i), "", []byte("d"), FIFO, Cond{}))
+			BatchCmd{Op: CmdListWrite, Conn: "SYS1", Idx: i % 4, Name: "id" + strconv.Itoa(i), Key: "", Data: []byte("d"), Order: FIFO, Cond: Cond{}})
 		if err != nil {
 			t.Fatalf("Run %d: %v", i, err)
 		}
@@ -192,8 +192,10 @@ func TestAsyncCarriesPerSubErrors(t *testing.T) {
 	if err := ls.Connect(context.Background(), "SYS1", nil); err != nil {
 		t.Fatal(err)
 	}
-	c, err := d.RunAsync(context.Background(), "WORKQ",
-		BatchListDelete("SYS1", "nope", Cond{}))
+	a := d.NewAsync("SYS1", 4)
+	defer a.Close()
+	c, err := a.Run(context.Background(), "WORKQ",
+		BatchCmd{Op: CmdListDelete, Conn: "SYS1", Name: "nope", Cond: Cond{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestAsyncClosedRejectsNewWork(t *testing.T) {
 	a := d.NewAsync("SYS1", 4)
 	a.Close()
 	if _, err := a.Run(context.Background(), "WORKQ",
-		BatchListDelete("SYS1", "x", Cond{})); !errors.Is(err, ErrAsyncClosed) {
+		BatchCmd{Op: CmdListDelete, Conn: "SYS1", Name: "x", Cond: Cond{}}); !errors.Is(err, ErrAsyncClosed) {
 		t.Fatalf("Run after Close = %v, want ErrAsyncClosed", err)
 	}
 }
@@ -258,7 +260,7 @@ func TestStressCancelMidBatchFailover(t *testing.T) {
 						cmds := make([]BatchCmd, perB)
 						for k := 0; k < perB; k++ {
 							id := fmt.Sprintf("w%d-b%d-k%d", w, b, k)
-							cmds[k] = BatchListWrite("SYS1", (w+k)%8, id, "", []byte("p"), FIFO, Cond{})
+							cmds[k] = BatchCmd{Op: CmdListWrite, Conn: "SYS1", Idx: (w + k) % 8, Name: id, Key: "", Data: []byte("p"), Order: FIFO, Cond: Cond{}}
 						}
 						ctx := context.Background()
 						var cancel context.CancelFunc
@@ -365,7 +367,7 @@ func TestAsyncBackpressureBlocksAtSlotLimit(t *testing.T) {
 	var comps [2]*Completion
 	for i := range comps {
 		c, err := a.Run(context.Background(), "WORKQ",
-			BatchListWrite("SYS1", 0, "id"+strconv.Itoa(i), "", nil, FIFO, Cond{}))
+			BatchCmd{Op: CmdListWrite, Conn: "SYS1", Idx: 0, Name: "id" + strconv.Itoa(i), Key: "", Data: nil, Order: FIFO, Cond: Cond{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +378,7 @@ func TestAsyncBackpressureBlocksAtSlotLimit(t *testing.T) {
 	go func() {
 		close(started)
 		c, err := a.Run(context.Background(), "WORKQ",
-			BatchListWrite("SYS1", 0, "id2", "", nil, FIFO, Cond{}))
+			BatchCmd{Op: CmdListWrite, Conn: "SYS1", Idx: 0, Name: "id2", Key: "", Data: nil, Order: FIFO, Cond: Cond{}})
 		if err != nil {
 			t.Error(err)
 		}

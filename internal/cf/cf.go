@@ -50,9 +50,10 @@ var (
 )
 
 // Lock is the command set of a lock-model structure (§3.3.1). It is
-// satisfied by both a plain *LockStructure and the *DuplexedLock front,
-// so exploiters are indifferent to whether the structure is simplex or
-// duplexed across two facilities.
+// satisfied by both a plain *LockStructure and the LockCmds handle of a
+// duplexed front or remote facility, so exploiters are indifferent to
+// whether the structure is simplex, duplexed, or across a link. Its
+// Executor methods run any lock-model BatchCmd, and batches of them.
 //
 // Command methods take a context.Context first: a cancelled context or
 // an expired vclock deadline fails the command with the context's error
@@ -60,6 +61,7 @@ var (
 // a context are diagnostics over in-memory state and issue no CF
 // command.
 type Lock interface {
+	Executor
 	Name() string
 	Entries() int
 	Connect(ctx context.Context, conn string) error
@@ -73,18 +75,13 @@ type Lock interface {
 	Records(ctx context.Context, conn string) ([]LockRecord, error)
 	AdoptRetained(conn string, recs []LockRecord)
 	RetainedConnectors() []string
-	// Batch executes an envelope of lock-model subcommands in one
-	// pipeline traversal (one link crossing on a transport handle).
-	// The returned slice holds one outcome per subcommand; the error is
-	// batch-level (validation, cancellation, or facility failure — in
-	// which case no outcome slice exists). See DESIGN §13.
-	Batch(ctx context.Context, cmds []BatchCmd) ([]error, error)
 }
 
 // Cache is the command set of a cache-model structure (§3.3.2),
-// satisfied by *CacheStructure and *DuplexedCache. Context semantics
+// satisfied by *CacheStructure and CacheCmds. Context semantics
 // are those of Lock.
 type Cache interface {
+	Executor
 	Name() string
 	Connect(ctx context.Context, conn string, vector *BitVector) error
 	ReadAndRegister(ctx context.Context, conn, name string, vecIdx int) (ReadResult, error)
@@ -95,15 +92,13 @@ type Cache interface {
 	ChangedBlocks() []string
 	Registered(name string) []string
 	Version(name string) uint64
-	// Batch executes an envelope of cache-model subcommands; semantics
-	// as Lock.Batch.
-	Batch(ctx context.Context, cmds []BatchCmd) ([]error, error)
 }
 
 // List is the command set of a list-model structure (§3.3.3),
-// satisfied by *ListStructure and *DuplexedList. Context semantics are
+// satisfied by *ListStructure and ListCmds. Context semantics are
 // those of Lock.
 type List interface {
+	Executor
 	Name() string
 	Lists() int
 	Connect(ctx context.Context, conn string, vector *BitVector) error
@@ -122,9 +117,6 @@ type List interface {
 	TotalEntries() int
 	Monitor(ctx context.Context, conn string, list int, vecIdx int) error
 	Unmonitor(conn string, list int)
-	// Batch executes an envelope of list-model subcommands; semantics
-	// as Lock.Batch.
-	Batch(ctx context.Context, cmds []BatchCmd) ([]error, error)
 }
 
 // Front is the facility-shaped command surface shared by a simplex
@@ -437,24 +429,4 @@ func (f *Facility) lookup(name string, m Model) (structure, error) {
 		return nil, fmt.Errorf("%w: %q is %s, not %s", ErrWrongModel, name, s.model(), m)
 	}
 	return s, nil
-}
-
-// AsyncResult carries the completion of an asynchronously executed
-// command (§3.3: commands can be executed synchronously or
-// asynchronously).
-type AsyncResult struct {
-	Err error
-}
-
-// Async runs fn off the caller's "CPU", delivering completion on the
-// returned channel.
-//
-// Deprecated: this spawns a goroutine per command — the opposite of
-// the paper's no-interrupt completion idiom. New code should use an
-// AsyncCtx (completion-vector dispatch, fixed worker pool) obtained
-// from Duplexed.NewAsync; see async.go and DESIGN §13.
-func Async(fn func() error) <-chan AsyncResult {
-	ch := make(chan AsyncResult, 1)
-	go func() { ch <- AsyncResult{Err: fn()} }()
-	return ch
 }

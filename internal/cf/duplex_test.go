@@ -467,3 +467,43 @@ func TestCloneFromBrokenFacilityDropsStaleSerialization(t *testing.T) {
 		t.Fatalf("healthy-source copy lost the live holder: %q", h)
 	}
 }
+
+// TestDuplexedPathAllocs bounds heap allocations on the in-process
+// duplexed command path: the pipeline itself allocates nothing, so a
+// lock obtain+release allocates nothing and a cache write or read only
+// its block copies (one per replica).
+func TestDuplexedPathAllocs(t *testing.T) {
+	ctx := context.Background()
+	d, _, _ := newPair(t)
+	ls, err := d.AllocateLockStructure("IRLM", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := d.AllocateCacheStructure("GBP0", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.Connect(ctx, "SYS1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Connect(ctx, "SYS1", NewBitVector(8)); err != nil {
+		t.Fatal(err)
+	}
+	page := []byte("page")
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"lock obtain+release", 0, func() {
+			_, _ = ls.Obtain(ctx, 1234, "SYS1", Exclusive)
+			_ = ls.Release(ctx, 1234, "SYS1", Exclusive)
+		}},
+		{"cache write", 2, func() { _ = cs.WriteAndInvalidate(ctx, "SYS1", "B1", page, true, false, 0) }},
+		{"cache read", 2, func() { _, _ = cs.ReadAndRegister(ctx, "SYS1", "B1", 0) }},
+	} {
+		if n := testing.AllocsPerRun(200, tc.fn); n > tc.max {
+			t.Errorf("%s: %.0f allocs per run, want <= %.0f", tc.name, n, tc.max)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 )
@@ -262,9 +261,7 @@ func (s *LockStructure) cleanupInterestLocked(conn string) {
 // HashResource maps a software lock resource name to a lock table
 // entry, the "software-hashing" of §3.3.1.
 func (s *LockStructure) HashResource(resource string) int {
-	h := fnv.New64a()
-	h.Write([]byte(resource))
-	return int(h.Sum64() % uint64(len(s.entries)))
+	return hashResource(resource, len(s.entries))
 }
 
 // Obtain records interest of the given mode on lock table entry idx for

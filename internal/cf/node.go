@@ -56,10 +56,12 @@ type Node interface {
 }
 
 // Replica is one structure image as routed to by the front's command
-// pipeline: the model-independent lifecycle surface. The command
-// surface itself is reached by asserting the handle to its model
-// interface (Lock, Cache, or List).
+// pipeline: an Executor for the structure's commands plus the
+// model-independent lifecycle surface. The typed command surface is
+// reached by asserting the handle to its model interface (Lock, Cache,
+// or List).
 type Replica interface {
+	Executor
 	// ReplicaName is the structure name.
 	ReplicaName() string
 	// ReplicaModel is the structure's behaviour model.
@@ -86,6 +88,18 @@ func (f *Facility) Structure(name string) Replica {
 		return nil
 	}
 	return s.(Replica)
+}
+
+// Lookup returns the named structure's replica handle when it exists
+// with model m: ErrCFDown on a failed facility, ErrNoStructure or
+// ErrWrongModel otherwise. A cflink server applies remote commands
+// through it.
+func (f *Facility) Lookup(name string, m Model) (Replica, error) {
+	s, err := f.lookup(name, m)
+	if err != nil {
+		return nil, err
+	}
+	return s.(Replica), nil
 }
 
 // localCloneInto dispatches a concrete structure's cloneInto when dst

@@ -1,37 +1,29 @@
-// Command pipeline of the duplexed front.
+// The duplexed front's command pipeline (DESIGN §10).
 //
-// Every CF operation issued through a Duplexed front is expressed as
-// one Op and dispatched through a single pipeline with a fixed stage
-// order. Before this seam existed, deadline checks, metrics, failure
-// injection, and failover retry were hard-coded across three packages;
-// the pipeline makes the command lifecycle one ordered list (DESIGN
-// §10):
+// Every command issued through a Duplexed front — one BatchCmd, or a
+// batch envelope of them — runs through one loop with a fixed stage
+// order:
 //
-//	gate → metrics → inject → retry → route
+//		gate → metrics → inject → route → retry
 //
-// gate    polls the context (cancellation + vclock deadline) so a dead
-//
-//	command fails before any replica is touched;
-//
-// metrics counts the op per kind (handles cached, no registry lookup
-//
-//	on the fast path);
-//
-// inject  runs an optional test-installed fault hook;
-// retry   re-drives the op after an in-line failover, bounded by
-//
-//	maxFailoverRetries with doubling capped backoff;
-//
-// route   classifies the op (read / keyed / global), takes the pair's
-//
-//	ordering locks, applies it to the primary, and mirrors
-//	mutations to the secondary under a detached context.
+//	  - gate polls the context (cancellation + vclock deadline) so a dead
+//	    command fails before any replica is touched;
+//	  - metrics counts the command per kind (handles resolved at
+//	    construction, no registry lookup on the fast path);
+//	  - inject runs an optional test-installed fault hook;
+//	  - route classifies the envelope (read / keyed / global) and takes
+//	    the pair's ordering locks;
+//	  - retry applies it to the primary, mirrors mutations to the
+//	    secondary under a detached context, and re-drives it after an
+//	    in-line failover, bounded by maxFailoverRetries with doubling
+//	    capped backoff.
 package cf
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"sysplex/internal/vclock"
@@ -65,107 +57,18 @@ func (o OpOrder) String() string {
 	}
 }
 
-// opKind enumerates every command the duplexed front dispatches. The
-// numeric form indexes the pre-resolved cfrm.op.* counter table, so
-// the metrics stage costs one array read and one atomic increment —
-// no per-op string hashing.
-type opKind uint8
-
-const (
-	opLockConnect opKind = iota
-	opLockObtain
-	opLockForce
-	opLockRelease
-	opLockSetRecord
-	opLockDelRecord
-	opLockRecords
-	opLockAdoptRetained
-	opCacheConnect
-	opCacheRead
-	opCacheWrite
-	opCacheUnregister
-	opCacheCastoutBegin
-	opCacheCastoutEnd
-	opListConnect
-	opListSetLock
-	opListReleaseLock
-	opListWrite
-	opListRead
-	opListReadFirst
-	opListPop
-	opListDelete
-	opListMove
-	opListSetAdjunct
-	opListMonitor
-	opListUnmonitor
-	// opBatch is the batch envelope itself; its subcommands also count
-	// under their own kinds (see runBatch).
-	opBatch
-	opKindCount
-)
-
-// opKindNames maps each opKind to its metrics/error name; the metrics
-// stage counts command k under "cfrm.op." + opKindNames[k].
-var opKindNames = [opKindCount]string{
-	opLockConnect:       "lock.connect",
-	opLockObtain:        "lock.obtain",
-	opLockForce:         "lock.force",
-	opLockRelease:       "lock.release",
-	opLockSetRecord:     "lock.setrecord",
-	opLockDelRecord:     "lock.delrecord",
-	opLockRecords:       "lock.records",
-	opLockAdoptRetained: "lock.adoptretained",
-	opCacheConnect:      "cache.connect",
-	opCacheRead:         "cache.read",
-	opCacheWrite:        "cache.write",
-	opCacheUnregister:   "cache.unregister",
-	opCacheCastoutBegin: "cache.castoutbegin",
-	opCacheCastoutEnd:   "cache.castoutend",
-	opListConnect:       "list.connect",
-	opListSetLock:       "list.setlock",
-	opListReleaseLock:   "list.releaselock",
-	opListWrite:         "list.write",
-	opListRead:          "list.read",
-	opListReadFirst:     "list.readfirst",
-	opListPop:           "list.pop",
-	opListDelete:        "list.delete",
-	opListMove:          "list.move",
-	opListSetAdjunct:    "list.setadjunct",
-	opListMonitor:       "list.monitor",
-	opListUnmonitor:     "list.unmonitor",
-	opBatch:             "batch",
-}
-
-// Op is one CF command presented to a fault-injection hook: a uniform
-// envelope carrying the command identity (structure, kind, order
-// class). The pipeline itself passes the command's pieces — including
-// the applyFunc body and the OpKeyed ordering key (same key → same
-// stripe → same replica order) — as plain parameters and materializes
-// an Op only when a hook is installed: a struct handed to an unknown
-// hook function is treated as escaping wholesale, which would
-// heap-allocate the apply closure's captures and the key string on
-// every command.
+// Op is one CF command, or one batch envelope, as presented to a
+// fault-injection hook: structure, kind and order class. The pipeline
+// materializes it only when a hook is installed.
 type Op struct {
 	// Structure is the target structure name.
 	Structure string
 	// Kind identifies the command for metrics and errors, e.g.
-	// "lock.obtain".
+	// "lock.obtain", or "batch" for an envelope.
 	Kind string
 	// Order is the op's ordering/mirroring class.
 	Order OpOrder
-
-	// k is Kind's numeric form, indexing the counter table.
-	k opKind
 }
-
-// applyFunc executes an Op's command body against one replica handle
-// (asserted to its model interface — Lock, Cache, or List — inside the
-// closure, so in-process structures and transport handles dispatch
-// identically). It is invoked once per replica; primary=true marks the
-// invocation whose results are the command's results. The context is
-// the caller's for the primary and a detached one for the secondary
-// mirror (a mirror must complete once the primary committed).
-type applyFunc func(ctx context.Context, s Replica, primary bool) error
 
 // Failover retry bounds (satellite of ISSUE 5: the retry loop used to
 // be unbounded). A command that still sees ErrCFDown after
@@ -189,115 +92,222 @@ func (d *Duplexed) SetInject(fn func(ctx context.Context, op *Op) error) {
 	d.inject.Store(&h)
 }
 
-// run executes one command through the pipeline stages in their fixed
-// order: gate → metrics → inject → retry → route. The structure fronts
-// use it as their uniform entry point. The stages are plain statements
-// in one method — not composed closures, not even helper calls — so
-// the fast path adds no call frames over applying the command directly
-// and no heap allocation: the apply closure and the ordering key stay
-// on the caller's stack.
+// Exec runs one command through the pipeline; diagnostics go straight
+// to the primary, bypassing its stages and counters. A failed command
+// leaves r zeroed.
+func (p *pair) Exec(ctx context.Context, c *BatchCmd, r *Result) error {
+	sp := &cmdTable[c.Op]
+	var err error
+	switch {
+	case sp.apply == nil || sp.model != p.model:
+		err = fmt.Errorf("%w: %s command on %s structure %q", ErrBadArgument, c.Op, p.model, p.name)
+	case sp.diag:
+		p.rw.RLock()
+		h, herr := p.handles()
+		p.rw.RUnlock()
+		if err = herr; err == nil {
+			err = h.pri.Exec(ctx, c, r)
+		}
+	default:
+		_, err = p.run(ctx, c, r, nil)
+	}
+	if err != nil {
+		*r = Result{}
+	}
+	return err
+}
+
+// Batch runs an envelope through the pipeline in one traversal.
+func (p *pair) Batch(ctx context.Context, cmds []BatchCmd) ([]error, error) {
+	if err := ValidateBatch(p.model, cmds); err != nil {
+		return nil, err
+	}
+	return p.run(ctx, nil, nil, cmds)
+}
+
+// run executes one envelope — a single command c (cmds == nil) or a
+// batch — through the pipeline stages in their fixed order: gate →
+// metrics → inject → route → retry. The stages are plain statements so
+// the single-command fast path adds no call frames and no heap
+// allocation over applying the command directly.
+//
+// Route takes the ordering locks the envelope's class requires: the
+// structure-global lock when any command is OpGlobal, else every
+// stripe its keyed commands hash to, in ascending index (the order
+// eachPair walks, so envelopes cannot deadlock each other). The locks
+// are held across failover retries so a re-driven envelope keeps its
+// place in the per-key order.
 //
 // No-partial-effect: the primary apply sees the caller's context, and
 // the structure's begin gate is the only point that consults it — a
 // cancellation therefore lands either before the primary mutates
-// (context error, no effect anywhere) or not at all. Once the primary
-// has applied, the secondary mirror runs under a detached context so
-// the pair cannot be split by a cancellation between replicas.
-func (d *Duplexed) run(ctx context.Context, name string, kind opKind, ord OpOrder, key string,
-	apply applyFunc) error {
-	// gate: fail cancelled or deadline-expired ops with the context's
-	// error before any replica is touched.
+// (context error, no effect anywhere) or not at all. Batch
+// subcommands apply under a detached context, so a cancellation never
+// splits an envelope. Once the primary has applied, the secondary
+// mirror runs under a detached context so the pair cannot be split by
+// a cancellation between replicas.
+func (p *pair) run(ctx context.Context, c *BatchCmd, r *Result, cmds []BatchCmd) ([]error, error) {
+	d := p.d
+	// gate: fail cancelled or deadline-expired envelopes with the
+	// context's error before any replica is touched.
 	if err := vclock.Check(ctx, d.clock); err != nil {
-		return err
+		return nil, err
 	}
-	// metrics: count the op per kind. Counter handles are resolved for
-	// every kind at construction, so the cost is one array read and one
-	// atomic increment.
-	d.opCounters[kind].Inc()
-	// inject: run the installed fault hook, if any (tests use it to
-	// fail or delay specific ops at an exact pipeline position). The Op
-	// envelope is materialized only here — the hook is the one consumer
-	// that needs it, and the steady-state cost is one atomic load.
-	if fn := d.inject.Load(); fn != nil {
-		hop := Op{Structure: name, Kind: opKindNames[kind], Order: ord, k: kind}
-		if err := (*fn)(ctx, &hop); err != nil {
-			return err
+	// Classify: kind, order class, and the ordering-stripe set
+	// (pairStripes == 64, so the set is one word).
+	op, ord, mask := CmdBatch, OpKeyed, uint64(0)
+	if cmds == nil {
+		op, ord = c.Op, cmdTable[c.Op].order
+		if ord == OpKeyed {
+			mask = 1 << uint(c.stripe())
+		}
+	} else {
+		for i := range cmds {
+			if cmdTable[cmds[i].Op].order == OpGlobal {
+				ord = OpGlobal
+			} else {
+				mask |= 1 << uint(cmds[i].stripe())
+			}
 		}
 	}
-	// route: resolve the pair and take the ordering locks the op's
-	// class requires. The locks are held across failover retries so a
-	// re-driven command keeps its position in the per-key order.
-	p := d.pair(name)
-	if p == nil {
-		return fmt.Errorf("%w: %q", ErrNoStructure, name)
+	// metrics: counter handles are resolved for every kind at
+	// construction, so a single command costs one array read and one
+	// atomic increment.
+	if cmds == nil {
+		d.opCounters[op].Inc()
+	} else {
+		d.countBatch(cmds)
 	}
+	// inject: run the installed fault hook, if any (tests use it to fail
+	// or delay specific ops at an exact pipeline position). The Op is
+	// materialized only here; the steady-state cost is one atomic load.
+	if fn := d.inject.Load(); fn != nil {
+		hop := Op{Structure: p.name, Kind: cmdTable[op].kind, Order: ord}
+		if err := (*fn)(ctx, &hop); err != nil {
+			return nil, err
+		}
+	}
+	// route: take the ordering locks. A mirrored single command's
+	// secondary results land in the scratch slot its lock makes private.
+	var mirror *Result
 	switch ord {
 	case OpGlobal:
 		p.rw.Lock()
-		defer p.rw.Unlock()
+		mirror = &p.mirror[pairStripes]
 	case OpKeyed:
 		p.rw.RLock()
-		defer p.rw.RUnlock()
-		st := &p.stripes[pairStripeIdx(key)]
-		st.Lock()
-		defer st.Unlock()
+		for m := mask; m != 0; m &= m - 1 {
+			p.stripes[bits.TrailingZeros64(m)].Lock()
+		}
+		mirror = &p.mirror[bits.TrailingZeros64(mask)]
 	default:
 		p.rw.RLock()
-		defer p.rw.RUnlock()
 	}
-	// retry: apply to the primary, mirroring mutations to the
-	// secondary; after an in-line failover the op is re-driven against
-	// the refreshed handles. Retries are capped; between attempts the
-	// context is re-polled (a cancelled command stops retrying —
-	// nothing was applied, so stopping is safe) and later attempts back
-	// off with a doubling, capped sleep on the injected clock.
+	errs, err := p.retry(ctx, c, r, cmds, ord, mirror)
+	switch ord {
+	case OpGlobal:
+		p.rw.Unlock()
+	case OpKeyed:
+		for m := mask; m != 0; m &= m - 1 {
+			p.stripes[bits.TrailingZeros64(m)].Unlock()
+		}
+		p.rw.RUnlock()
+	default:
+		p.rw.RUnlock()
+	}
+	return errs, err
+}
+
+// retry is the route stage's inner loop: apply the envelope to the
+// primary and mirror mutations to the secondary; after an in-line
+// failover re-drive it against the refreshed handles. The promoted
+// replica never saw a failed attempt (mirrors run only after the
+// primary completes), so re-driving keeps the survivors identical.
+// Retries are capped; between attempts the context is re-polled (a
+// cancelled command stops retrying — nothing was applied, so stopping
+// is safe) and later attempts back off with a doubling, capped sleep
+// on the injected clock.
+func (p *pair) retry(ctx context.Context, c *BatchCmd, r *Result, cmds []BatchCmd, ord OpOrder, mirror *Result) ([]error, error) {
+	d := p.d
 	backoff := time.Duration(0)
 	for attempt := 1; ; attempt++ {
 		h, err := p.handles()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		start := d.clock.Now()
-		err = apply(ctx, h.pri, true)
-		if err != nil {
-			if errors.Is(err, ErrCFDown) {
-				if !d.failover(h.priNode) {
-					return err
-				}
-				if attempt >= maxFailoverRetries {
-					return fmt.Errorf("cf: %s on %q failed after %d failover retries: %w",
-						opKindNames[kind], name, attempt, ErrCFDown)
-				}
-				d.cRetried.Inc()
-				if cerr := vclock.Check(ctx, d.clock); cerr != nil {
-					return cerr
-				}
-				if backoff > 0 {
-					d.clock.Sleep(backoff)
-				}
-				if backoff = backoff * 2; backoff < retryBackoffBase {
-					backoff = retryBackoffBase
-				} else if backoff > retryBackoffMax {
-					backoff = retryBackoffMax
-				}
-				continue
+		var errs []error
+		if cmds == nil {
+			err = h.pri.Exec(ctx, c, r)
+		} else {
+			errs, err = h.pri.Batch(ctx, cmds)
+		}
+		if errors.Is(err, ErrCFDown) {
+			if !d.failover(h.priNode) {
+				return nil, err
 			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				// The primary's begin gate rejected the command before
-				// any mutation; mirroring it would apply the op on the
-				// secondary only (the detached mirror context cannot be
-				// cancelled) and manufacture divergence out of a clean
-				// cancellation.
-				return err
+			if attempt >= maxFailoverRetries {
+				kind := CmdBatch
+				if cmds == nil {
+					kind = c.Op
+				}
+				return nil, fmt.Errorf("cf: %s on %q failed after %d failover retries: %w",
+					kind, p.name, attempt, ErrCFDown)
 			}
+			d.cRetried.Inc()
+			if cerr := vclock.Check(ctx, d.clock); cerr != nil {
+				return nil, cerr
+			}
+			if backoff > 0 {
+				d.clock.Sleep(backoff)
+			}
+			if backoff = backoff * 2; backoff < retryBackoffBase {
+				backoff = retryBackoffBase
+			} else if backoff > retryBackoffMax {
+				backoff = retryBackoffMax
+			}
+			continue
+		}
+		// The primary's begin gate rejected the command, or the envelope
+		// failed batch-level: nothing applied anywhere. Mirroring it would
+		// apply it on the secondary only (the detached mirror context
+		// cannot be cancelled) and manufacture divergence.
+		if err != nil && (cmds != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			return nil, err
 		}
 		if ord != OpRead && h.sec != nil {
-			serr := apply(vclock.Detach(ctx), h.sec, false)
-			if !sameOutcome(err, serr) {
+			sctx := vclock.Detach(ctx)
+			if cmds == nil {
+				if serr := h.sec.Exec(sctx, c, mirror); !sameOutcome(err, serr) {
+					d.breakDuplex(h.secNode)
+				}
+			} else if serrs, serr := h.sec.Batch(sctx, cmds); serr != nil || !sameOutcomes(errs, serrs) {
 				d.breakDuplex(h.secNode)
 			}
 			d.hFanout.Observe(d.clock.Since(start))
 		}
-		return err
+		return errs, err
 	}
+}
+
+// sameOutcome reports whether primary and secondary completed a
+// mirrored command identically (both clean, or the same error).
+func sameOutcome(perr, serr error) bool {
+	if (perr == nil) != (serr == nil) {
+		return false
+	}
+	return perr == nil || perr.Error() == serr.Error()
+}
+
+// sameOutcomes is sameOutcome over an envelope's subcommands.
+func sameOutcomes(perrs, serrs []error) bool {
+	if len(perrs) != len(serrs) {
+		return false
+	}
+	for i := range perrs {
+		if !sameOutcome(perrs[i], serrs[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -23,9 +23,9 @@ func TestBatchOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	errs, err := ls.Batch(ctx, []cf.BatchCmd{
-		cf.BatchListWrite("SYSA", 0, "e1", "", []byte("x"), cf.FIFO, cf.Cond{}),
-		cf.BatchListWrite("SYSA", 1, "e2", "", []byte("y"), cf.FIFO, cf.Cond{}),
-		cf.BatchListDelete("SYSA", "missing", cf.Cond{}),
+		cf.BatchCmd{Op: cf.CmdListWrite, Conn: "SYSA", Idx: 0, Name: "e1", Key: "", Data: []byte("x"), Order: cf.FIFO, Cond: cf.Cond{}},
+		cf.BatchCmd{Op: cf.CmdListWrite, Conn: "SYSA", Idx: 1, Name: "e2", Key: "", Data: []byte("y"), Order: cf.FIFO, Cond: cf.Cond{}},
+		cf.BatchCmd{Op: cf.CmdListDelete, Conn: "SYSA", Name: "missing", Cond: cf.Cond{}},
 	})
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
@@ -66,7 +66,7 @@ func TestBatchOversizedFailsCleanSessionSurvives(t *testing.T) {
 	big := make([]byte, 64<<10)
 	cmds := make([]cf.BatchCmd, 0, 20)
 	for i := 0; i < 20; i++ { // ~1.25 MiB of payload > MaxFrame
-		cmds = append(cmds, cf.BatchCacheWrite("SYSA", "BLK"+string(rune('A'+i)), big, true, true, i%8))
+		cmds = append(cmds, cf.BatchCmd{Op: cf.CmdCacheWrite, Conn: "SYSA", Name: "BLK" + string(rune('A'+i)), Data: big, Cache: true, Changed: true, VecIdx: i % 8})
 	}
 	if _, err := cs.Batch(ctx, cmds); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversized batch = %v, want ErrFrameTooBig", err)
@@ -135,7 +135,7 @@ func TestBatchTruncatedCountMalformed(t *testing.T) {
 
 	var e encoder
 	e.uvarint(7) // request ID
-	e.u8(opBatch)
+	e.u8(uint8(cf.CmdBatch))
 	e.string("WORKQ")
 	e.uvarint(500) // promises 500 subcommands, carries none
 	if err := writeFrame(conn, e.b); err != nil {
@@ -201,15 +201,15 @@ func TestDuplicateRequestIDsBothAnswered(t *testing.T) {
 // shape: encode → decode must be identity.
 func TestBatchCodecRoundTrip(t *testing.T) {
 	cmds := []cf.BatchCmd{
-		cf.BatchLockRelease(17, "SYSA", cf.Exclusive),
-		cf.BatchLockForce(3, "SYSB", cf.Share),
-		cf.BatchLockSetRecord("SYSA", "ACCT/k1", cf.Exclusive),
-		cf.BatchLockDelRecord("SYSA", "ACCT/k1"),
-		cf.BatchCacheWrite("SYSA", "BLK7", []byte("page"), true, true, 5),
-		cf.BatchCacheUnregister("SYSA", "BLK7"),
-		cf.BatchCacheCastoutEnd("SYSA", "BLK7", 99),
-		cf.BatchListWrite("SYSA", 2, "id1", "k1", []byte("rec"), cf.Keyed, cf.Cond{Use: true, LockIndex: 1}),
-		cf.BatchListDelete("SYSA", "id1", cf.Cond{}),
+		cf.BatchCmd{Op: cf.CmdLockRelease, Idx: 17, Conn: "SYSA", Mode: cf.Exclusive},
+		cf.BatchCmd{Op: cf.CmdLockForce, Idx: 3, Conn: "SYSB", Mode: cf.Share},
+		cf.BatchCmd{Op: cf.CmdLockSetRec, Conn: "SYSA", Name: "ACCT/k1", Mode: cf.Exclusive},
+		cf.BatchCmd{Op: cf.CmdLockDelRec, Conn: "SYSA", Name: "ACCT/k1"},
+		cf.BatchCmd{Op: cf.CmdCacheWrite, Conn: "SYSA", Name: "BLK7", Data: []byte("page"), Cache: true, Changed: true, VecIdx: 5},
+		cf.BatchCmd{Op: cf.CmdCacheUnregister, Conn: "SYSA", Name: "BLK7"},
+		cf.BatchCmd{Op: cf.CmdCacheCoEnd, Conn: "SYSA", Name: "BLK7", Version: 99},
+		cf.BatchCmd{Op: cf.CmdListWrite, Conn: "SYSA", Idx: 2, Name: "id1", Key: "k1", Data: []byte("rec"), Order: cf.Keyed, Cond: cf.Cond{Use: true, LockIndex: 1}},
+		cf.BatchCmd{Op: cf.CmdListDelete, Conn: "SYSA", Name: "id1", Cond: cf.Cond{}},
 	}
 	var e encoder
 	e.batchCmds(cmds)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -433,7 +432,7 @@ func (c *Client) AllocateLockStructure(name string, entries int) (cf.Lock, error
 	if err != nil {
 		return nil, err
 	}
-	return &remoteLock{remoteStruct{c: c, name: name, model: cf.LockModel, size: entries}}, nil
+	return c.handle(name, cf.LockModel, entries).(cf.Lock), nil
 }
 
 // AllocateCacheStructure allocates a cache structure and returns its
@@ -447,7 +446,7 @@ func (c *Client) AllocateCacheStructure(name string, maxEntries int) (cf.Cache, 
 	if err != nil {
 		return nil, err
 	}
-	return &remoteCache{remoteStruct{c: c, name: name, model: cf.CacheModel}}, nil
+	return c.handle(name, cf.CacheModel, 0).(cf.Cache), nil
 }
 
 // AllocateListStructure allocates a list structure and returns its
@@ -463,7 +462,7 @@ func (c *Client) AllocateListStructure(name string, nLists, nLocks, maxEntries i
 	if err != nil {
 		return nil, err
 	}
-	return &remoteList{remoteStruct{c: c, name: name, model: cf.ListModel, size: nLists}}, nil
+	return c.handle(name, cf.ListModel, nLists).(cf.List), nil
 }
 
 // Structure returns the named remote structure's replica handle, or
@@ -481,17 +480,7 @@ func (c *Client) Structure(name string) cf.Replica {
 	if d.finish() != nil || !exists {
 		return nil
 	}
-	rs := remoteStruct{c: c, name: name, model: model, size: size}
-	switch model {
-	case cf.LockModel:
-		return &remoteLock{rs}
-	case cf.CacheModel:
-		return &remoteCache{rs}
-	case cf.ListModel:
-		return &remoteList{rs}
-	default:
-		return nil
-	}
+	return c.handle(name, model, size)
 }
 
 // Fence asks the server to fence system: its connections are severed
@@ -504,54 +493,76 @@ func (c *Client) Fence(system string) error {
 
 // ---- remote structure handles ----
 
-// remoteStruct is the common core of the three remote handles: the
-// client, the structure identity, and the fixed geometry learned at
-// allocation (lock entries / list headers), which serves the local
-// diagnostics (Entries, Lists, HashResource) without a round trip.
+// remoteStruct is a structure reached over the link: the Executor its
+// handle's commands run on, plus the replica lifecycle.
 type remoteStruct struct {
 	c     *Client
 	name  string
 	model cf.Model
-	size  int
 }
 
-func (r *remoteStruct) Name() string { return r.name }
+// The remote handles: the cf command implementation over a
+// remoteStruct, which also makes them replicas.
+type (
+	remoteLock struct {
+		*remoteStruct
+		cf.LockCmds
+	}
+	remoteCache struct {
+		*remoteStruct
+		cf.CacheCmds
+	}
+	remoteList struct {
+		*remoteStruct
+		cf.ListCmds
+	}
+)
 
-// structOp prefixes every structure command with the structure name.
-func (r *remoteStruct) structOp(build func(e *encoder)) func(e *encoder) {
-	return func(e *encoder) {
-		e.string(r.name)
-		if build != nil {
-			build(e)
-		}
+// handle builds the replica handle of a remote structure; size is its
+// fixed geometry (lock entries / list headers), learned at allocation,
+// which serves Entries, Lists and HashResource without a round trip.
+func (c *Client) handle(name string, model cf.Model, size int) cf.Replica {
+	rs := &remoteStruct{c: c, name: name, model: model}
+	switch model {
+	case cf.LockModel:
+		return &remoteLock{rs, cf.LockCmds{Executor: rs, Structure: name, Size: size}}
+	case cf.CacheModel:
+		return &remoteCache{rs, cf.CacheCmds{Executor: rs, Structure: name}}
+	case cf.ListModel:
+		return &remoteList{rs, cf.ListCmds{Executor: rs, Structure: name, Size: size}}
+	default:
+		return nil
 	}
 }
 
-// ---- cf.Replica ----
-
-func (r *remoteStruct) ReplicaName() string    { return r.name }
-func (r *remoteStruct) ReplicaModel() cf.Model { return r.model }
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteStruct) ReplicaDisconnect(conn string) {
-	_ = r.c.call(context.Background(), opStructDisconnect, r.structOp(func(e *encoder) { e.string(conn) }))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteStruct) ReplicaFailConnector(conn string) {
-	_ = r.c.call(context.Background(), opStructFailConn, r.structOp(func(e *encoder) { e.string(conn) }))
+// Exec sends one command as one framed request: the structure name,
+// then the command's table-declared arguments; the response carries
+// its table-declared results. A failed command leaves r zeroed.
+func (r *remoteStruct) Exec(ctx context.Context, c *cf.BatchCmd, res *cf.Result) error {
+	var out cf.Result
+	d, err := r.c.roundTrip(ctx, uint8(c.Op), func(e *encoder) {
+		e.string(r.name)
+		e.args(c, r.c.registerVector)
+	})
+	if err == nil {
+		d.result(c.Op, &out)
+		err = d.finish()
+	}
+	*res = out
+	return err
 }
 
 // Batch ships an envelope of subcommands as one framed request — one
 // link crossing, one request ID, per-subcommand status bytes back.
 // This is the transport's whole reason to batch: EXP-TRANSPORT prices
-// the crossing at 20–50× the structure work. Shared by all three
-// remote handles; the server types the envelope by the structure's
-// model and validates it at its trust boundary (batchApply), so the
-// client does not pre-validate — the duplexed pipeline already did,
-// and a malformed direct call fails server-side with the same error.
+// the crossing at 20–50× the structure work. The server types the
+// envelope by the structure's model and validates it at its trust
+// boundary.
 func (r *remoteStruct) Batch(ctx context.Context, cmds []cf.BatchCmd) ([]error, error) {
-	d, err := r.c.roundTrip(ctx, opBatch, r.structOp(func(e *encoder) { e.batchCmds(cmds) }))
+	d, err := r.c.roundTrip(ctx, uint8(cf.CmdBatch), func(e *encoder) {
+		e.string(r.name)
+		e.batchCmds(cmds)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -565,6 +576,21 @@ func (r *remoteStruct) Batch(ctx context.Context, cmds []cf.BatchCmd) ([]error, 
 	return errs, nil
 }
 
+// ---- cf.Replica ----
+
+func (r *remoteStruct) ReplicaName() string    { return r.name }
+func (r *remoteStruct) ReplicaModel() cf.Model { return r.model }
+
+// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
+func (r *remoteStruct) ReplicaDisconnect(conn string) {
+	_ = r.c.call(context.Background(), opStructDisconnect, func(e *encoder) { e.string(r.name); e.string(conn) })
+}
+
+// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
+func (r *remoteStruct) ReplicaFailConnector(conn string) {
+	_ = r.c.call(context.Background(), opStructFailConn, func(e *encoder) { e.string(r.name); e.string(conn) })
+}
+
 // ReplicaCloneInto always fails with cf.ErrCloneUnsupported: cloning
 // means shipping a whole-structure image out of another process, which
 // the link protocol does not do. Pairs that include a remote node are
@@ -573,428 +599,6 @@ func (r *remoteStruct) Batch(ctx context.Context, cmds []cf.BatchCmd) ([]error, 
 // finds a pairing that can be established.
 func (r *remoteStruct) ReplicaCloneInto(dst cf.Node) (cf.Replica, error) {
 	return nil, cf.ErrCloneUnsupported
-}
-
-// remoteLock is the wire handle of a lock-model structure.
-type remoteLock struct{ remoteStruct }
-
-// Entries returns the lock table size (known since allocation, no
-// round trip).
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteLock) Entries() int { return r.size }
-
-// HashResource maps a resource name to a lock table entry. Computed
-// locally with the same FNV-1a the facility uses — the hash is part of
-// the structure's architecture, not server state, so both sides agree
-// without a round trip.
-func (r *remoteLock) HashResource(resource string) int {
-	if r.size <= 0 {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write([]byte(resource))
-	return int(h.Sum64() % uint64(r.size))
-}
-
-func (r *remoteLock) Connect(ctx context.Context, conn string) error {
-	return r.c.call(ctx, opLockConnect, r.structOp(func(e *encoder) { e.string(conn) }))
-}
-
-func (r *remoteLock) Obtain(ctx context.Context, idx int, conn string, mode cf.LockMode) (cf.ObtainResult, error) {
-	d, err := r.c.roundTrip(ctx, opLockObtain, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-		e.int(int(mode))
-	}))
-	if err != nil {
-		return cf.ObtainResult{}, err
-	}
-	res := cf.ObtainResult{Granted: d.bool(), Holders: d.strings()}
-	if err := d.finish(); err != nil {
-		return cf.ObtainResult{}, err
-	}
-	return res, nil
-}
-
-func (r *remoteLock) ForceObtain(ctx context.Context, idx int, conn string, mode cf.LockMode) error {
-	return r.c.call(ctx, opLockForce, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-		e.int(int(mode))
-	}))
-}
-
-func (r *remoteLock) Release(ctx context.Context, idx int, conn string, mode cf.LockMode) error {
-	return r.c.call(ctx, opLockRelease, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-		e.int(int(mode))
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteLock) Interest(idx int, conn string) (share, excl int, err error) {
-	d, err := r.c.roundTrip(context.Background(), opLockInterest, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-	}))
-	if err != nil {
-		return 0, 0, err
-	}
-	share, excl = d.int(), d.int()
-	if err := d.finish(); err != nil {
-		return 0, 0, err
-	}
-	return share, excl, nil
-}
-
-func (r *remoteLock) SetRecord(ctx context.Context, conn, resource string, mode cf.LockMode) error {
-	return r.c.call(ctx, opLockSetRecord, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(resource)
-		e.int(int(mode))
-	}))
-}
-
-func (r *remoteLock) DeleteRecord(ctx context.Context, conn, resource string) error {
-	return r.c.call(ctx, opLockDelRecord, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(resource)
-	}))
-}
-
-func (r *remoteLock) Records(ctx context.Context, conn string) ([]cf.LockRecord, error) {
-	d, err := r.c.roundTrip(ctx, opLockRecords, r.structOp(func(e *encoder) { e.string(conn) }))
-	if err != nil {
-		return nil, err
-	}
-	recs := d.lockRecords()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteLock) AdoptRetained(conn string, recs []cf.LockRecord) {
-	_ = r.c.call(context.Background(), opLockAdopt, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.lockRecords(recs)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteLock) RetainedConnectors() []string {
-	d, err := r.c.roundTrip(context.Background(), opLockRetainedConns, r.structOp(nil))
-	if err != nil {
-		return nil
-	}
-	conns := d.strings()
-	if d.finish() != nil {
-		return nil
-	}
-	return conns
-}
-
-// remoteCache is the wire handle of a cache-model structure.
-type remoteCache struct{ remoteStruct }
-
-func (r *remoteCache) Connect(ctx context.Context, conn string, vector *cf.BitVector) error {
-	vecID := r.c.registerVector(vector)
-	vecLen := 0
-	if vector != nil {
-		vecLen = vector.Len()
-	}
-	return r.c.call(ctx, opCacheConnect, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.uvarint(vecID)
-		e.int(vecLen)
-	}))
-}
-
-func (r *remoteCache) ReadAndRegister(ctx context.Context, conn, name string, vecIdx int) (cf.ReadResult, error) {
-	d, err := r.c.roundTrip(ctx, opCacheRead, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-		e.int(vecIdx)
-	}))
-	if err != nil {
-		return cf.ReadResult{}, err
-	}
-	res := cf.ReadResult{Data: d.bytes(), Hit: d.bool(), Version: d.uvarint()}
-	if err := d.finish(); err != nil {
-		return cf.ReadResult{}, err
-	}
-	return res, nil
-}
-
-func (r *remoteCache) WriteAndInvalidate(ctx context.Context, conn, name string, data []byte, cache, changed bool, vecIdx int) error {
-	return r.c.call(ctx, opCacheWrite, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-		e.bytes(data)
-		e.bool(cache)
-		e.bool(changed)
-		e.int(vecIdx)
-	}))
-}
-
-func (r *remoteCache) Unregister(ctx context.Context, conn, name string) error {
-	return r.c.call(ctx, opCacheUnregister, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-	}))
-}
-
-func (r *remoteCache) CastoutBegin(ctx context.Context, conn, name string) ([]byte, uint64, error) {
-	d, err := r.c.roundTrip(ctx, opCacheCastoutBegin, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-	}))
-	if err != nil {
-		return nil, 0, err
-	}
-	data := d.bytes()
-	version := d.uvarint()
-	if err := d.finish(); err != nil {
-		return nil, 0, err
-	}
-	return data, version, nil
-}
-
-func (r *remoteCache) CastoutEnd(ctx context.Context, conn, name string, version uint64) error {
-	return r.c.call(ctx, opCacheCastoutEnd, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-		e.uvarint(version)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteCache) ChangedBlocks() []string {
-	d, err := r.c.roundTrip(context.Background(), opCacheChangedBlocks, r.structOp(nil))
-	if err != nil {
-		return nil
-	}
-	blocks := d.strings()
-	if d.finish() != nil {
-		return nil
-	}
-	return blocks
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteCache) Registered(name string) []string {
-	d, err := r.c.roundTrip(context.Background(), opCacheRegistered, r.structOp(func(e *encoder) { e.string(name) }))
-	if err != nil {
-		return nil
-	}
-	conns := d.strings()
-	if d.finish() != nil {
-		return nil
-	}
-	return conns
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteCache) Version(name string) uint64 {
-	d, err := r.c.roundTrip(context.Background(), opCacheVersion, r.structOp(func(e *encoder) { e.string(name) }))
-	if err != nil {
-		return 0
-	}
-	v := d.uvarint()
-	if d.finish() != nil {
-		return 0
-	}
-	return v
-}
-
-// remoteList is the wire handle of a list-model structure.
-type remoteList struct{ remoteStruct }
-
-// Lists returns the list header count (known since allocation).
-func (r *remoteList) Lists() int { return r.size }
-
-func (r *remoteList) Connect(ctx context.Context, conn string, vector *cf.BitVector) error {
-	vecID := r.c.registerVector(vector)
-	vecLen := 0
-	if vector != nil {
-		vecLen = vector.Len()
-	}
-	return r.c.call(ctx, opListConnect, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.uvarint(vecID)
-		e.int(vecLen)
-	}))
-}
-
-func (r *remoteList) SetLock(ctx context.Context, idx int, conn string) error {
-	return r.c.call(ctx, opListSetLock, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-	}))
-}
-
-func (r *remoteList) ReleaseLock(ctx context.Context, idx int, conn string) error {
-	return r.c.call(ctx, opListReleaseLock, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) LockHolder(idx int) string {
-	d, err := r.c.roundTrip(context.Background(), opListLockHolder, r.structOp(func(e *encoder) { e.int(idx) }))
-	if err != nil {
-		return ""
-	}
-	holder := d.string()
-	if d.finish() != nil {
-		return ""
-	}
-	return holder
-}
-
-func (r *remoteList) Write(ctx context.Context, conn string, list int, id, key string, data []byte, order cf.Order, cond cf.Cond) error {
-	return r.c.call(ctx, opListWrite, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-		e.string(id)
-		e.string(key)
-		e.bytes(data)
-		e.int(int(order))
-		e.cond(cond)
-	}))
-}
-
-func (r *remoteList) Read(ctx context.Context, conn, id string, cond cf.Cond) (cf.ListEntry, error) {
-	d, err := r.c.roundTrip(ctx, opListRead, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(id)
-		e.cond(cond)
-	}))
-	if err != nil {
-		return cf.ListEntry{}, err
-	}
-	le := d.listEntry()
-	if err := d.finish(); err != nil {
-		return cf.ListEntry{}, err
-	}
-	return le, nil
-}
-
-func (r *remoteList) ReadFirst(ctx context.Context, conn string, list int, cond cf.Cond) (cf.ListEntry, error) {
-	d, err := r.c.roundTrip(ctx, opListReadFirst, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-		e.cond(cond)
-	}))
-	if err != nil {
-		return cf.ListEntry{}, err
-	}
-	le := d.listEntry()
-	if err := d.finish(); err != nil {
-		return cf.ListEntry{}, err
-	}
-	return le, nil
-}
-
-func (r *remoteList) Pop(ctx context.Context, conn string, list int, cond cf.Cond) (cf.ListEntry, error) {
-	d, err := r.c.roundTrip(ctx, opListPop, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-		e.cond(cond)
-	}))
-	if err != nil {
-		return cf.ListEntry{}, err
-	}
-	le := d.listEntry()
-	if err := d.finish(); err != nil {
-		return cf.ListEntry{}, err
-	}
-	return le, nil
-}
-
-func (r *remoteList) Delete(ctx context.Context, conn, id string, cond cf.Cond) error {
-	return r.c.call(ctx, opListDelete, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(id)
-		e.cond(cond)
-	}))
-}
-
-func (r *remoteList) Move(ctx context.Context, conn, id string, toList int, order cf.Order, cond cf.Cond) error {
-	return r.c.call(ctx, opListMove, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(id)
-		e.int(toList)
-		e.int(int(order))
-		e.cond(cond)
-	}))
-}
-
-func (r *remoteList) SetAdjunct(ctx context.Context, conn, id, adjunct string, cond cf.Cond) error {
-	return r.c.call(ctx, opListSetAdjunct, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(id)
-		e.string(adjunct)
-		e.cond(cond)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) Len(list int) int {
-	d, err := r.c.roundTrip(context.Background(), opListLen, r.structOp(func(e *encoder) { e.int(list) }))
-	if err != nil {
-		return 0
-	}
-	n := d.int()
-	if d.finish() != nil {
-		return 0
-	}
-	return n
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) Entries(list int) []cf.ListEntry {
-	d, err := r.c.roundTrip(context.Background(), opListEntries, r.structOp(func(e *encoder) { e.int(list) }))
-	if err != nil {
-		return nil
-	}
-	es := d.listEntries()
-	if d.finish() != nil {
-		return nil
-	}
-	return es
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) TotalEntries() int {
-	d, err := r.c.roundTrip(context.Background(), opListTotalEntries, r.structOp(nil))
-	if err != nil {
-		return 0
-	}
-	n := d.int()
-	if d.finish() != nil {
-		return 0
-	}
-	return n
-}
-
-func (r *remoteList) Monitor(ctx context.Context, conn string, list int, vecIdx int) error {
-	return r.c.call(ctx, opListMonitor, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-		e.int(vecIdx)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) Unmonitor(conn string, list int) {
-	_ = r.c.call(context.Background(), opListUnmonitor, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-	}))
 }
 
 // Interface conformance.

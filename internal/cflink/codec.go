@@ -60,14 +60,13 @@ const (
 	connNotify  uint8 = 1
 )
 
-// Opcodes. Numeric values are the wire protocol — append, never renumber.
-// The lintwire annotation makes sysplexlint hold the table to the
-// produce/consume contract: every opcode must be collision-free, sent
-// by some client path, and named by some dispatch case.
+// Node-level opcodes. Numeric values are the wire protocol — append,
+// never renumber. Structure commands travel under their cf.CmdOp value,
+// the opcode the command table assigns (20–75); the batch envelope
+// under cf.CmdBatch (90).
 //
-// lintwire: table opcodes dispatch
+// lintwire: table opcodes
 const (
-	// Node-level commands.
 	opStructureNames   uint8 = 1
 	opFailed           uint8 = 2
 	opFail             uint8 = 3
@@ -81,60 +80,12 @@ const (
 	opFence            uint8 = 11
 	opStructDisconnect uint8 = 12
 	opStructFailConn   uint8 = 13
-
-	// Lock-model commands.
-	opLockConnect       uint8 = 20
-	opLockObtain        uint8 = 21
-	opLockForce         uint8 = 22
-	opLockRelease       uint8 = 23
-	opLockInterest      uint8 = 24
-	opLockSetRecord     uint8 = 25
-	opLockDelRecord     uint8 = 26
-	opLockRecords       uint8 = 27
-	opLockAdopt         uint8 = 28
-	opLockRetainedConns uint8 = 29
-
-	// Cache-model commands.
-	opCacheConnect       uint8 = 40
-	opCacheRead          uint8 = 41
-	opCacheWrite         uint8 = 42
-	opCacheUnregister    uint8 = 43
-	opCacheCastoutBegin  uint8 = 44
-	opCacheCastoutEnd    uint8 = 45
-	opCacheChangedBlocks uint8 = 46
-	opCacheRegistered    uint8 = 47
-	opCacheVersion       uint8 = 48
-
-	// List-model commands.
-	opListConnect      uint8 = 60
-	opListSetLock      uint8 = 61
-	opListReleaseLock  uint8 = 62
-	opListLockHolder   uint8 = 63
-	opListWrite        uint8 = 64
-	opListRead         uint8 = 65
-	opListReadFirst    uint8 = 66
-	opListPop          uint8 = 67
-	opListDelete       uint8 = 68
-	opListMove         uint8 = 69
-	opListSetAdjunct   uint8 = 70
-	opListLen          uint8 = 71
-	opListEntries      uint8 = 72
-	opListTotalEntries uint8 = 73
-	opListMonitor      uint8 = 74
-	opListUnmonitor    uint8 = 75
-
-	// Batch envelope: one request ID covers N subcommands (all three
-	// structure models share the opcode; the target structure's model
-	// types the envelope). The response carries one status byte per
-	// subcommand — codeOK, or an error code plus detail string.
-	opBatch uint8 = 90
 )
 
 // Response status codes. 0 is success; the rest map to the cf command
 // sentinels so errors.Is works across the wire. The constants work
 // positionally through codeSentinels, so sysplexlint checks the bytes
-// for collisions and the sentinel table for coverage rather than
-// requiring each name to appear in a switch.
+// for collisions and the sentinel table for coverage.
 //
 // lintwire: table statuses
 const (
@@ -490,101 +441,181 @@ func (d *decoder) cond() cf.Cond {
 	return cf.Cond{Use: d.bool(), LockIndex: d.int()}
 }
 
-// Batch subcommand encoding: a 1-byte op tag, then exactly the fields
-// that op's one-command encoding carries, in the same order — the
-// subcommand forms are the existing command forms minus the per-op
-// frame.
+// Command encoding. A command carries exactly the argument fields its
+// table entry names, in Fields bit order; its response carries exactly
+// the result fields. A batch subcommand is a 1-byte opcode followed by
+// its arguments.
 
-func (e *encoder) batchCmd(c *cf.BatchCmd) {
-	e.u8(uint8(c.Op))
-	switch c.Op {
-	case cf.BatchOpLockRelease, cf.BatchOpLockForce:
+// args encodes c's argument fields. Connect's vector travels as the
+// client's vector ID and length (vec maps the vector to its ID); the
+// server binds a shadow vector to them.
+func (e *encoder) args(c *cf.BatchCmd, vec func(*cf.BitVector) uint64) {
+	f := c.Op.Fields()
+	if f&cf.FConn != 0 {
+		e.string(c.Conn)
+	}
+	if f&cf.FName != 0 {
+		e.string(c.Name)
+	}
+	if f&cf.FIdx != 0 {
 		e.int(c.Idx)
-		e.string(c.Conn)
+	}
+	if f&cf.FMode != 0 {
 		e.int(int(c.Mode))
-	case cf.BatchOpLockSetRecord:
-		e.string(c.Conn)
-		e.string(c.Name)
-		e.int(int(c.Mode))
-	case cf.BatchOpLockDelRecord, cf.BatchOpCacheUnregister:
-		e.string(c.Conn)
-		e.string(c.Name)
-	case cf.BatchOpCacheWrite:
-		e.string(c.Conn)
-		e.string(c.Name)
+	}
+	if f&cf.FData != 0 {
 		e.bytes(c.Data)
+	}
+	if f&cf.FFlags != 0 {
 		e.bool(c.Cache)
 		e.bool(c.Changed)
+	}
+	if f&cf.FVecIdx != 0 {
 		e.int(c.VecIdx)
-	case cf.BatchOpCacheCastoutEnd:
-		e.string(c.Conn)
-		e.string(c.Name)
+	}
+	if f&cf.FVersion != 0 {
 		e.uvarint(c.Version)
-	case cf.BatchOpListWrite:
-		e.string(c.Conn)
-		e.int(c.Idx)
-		e.string(c.Name)
+	}
+	if f&cf.FKey != 0 {
 		e.string(c.Key)
-		e.bytes(c.Data)
+	}
+	if f&cf.FOrder != 0 {
 		e.int(int(c.Order))
-		e.cond(c.Cond)
-	case cf.BatchOpListDelete:
-		e.string(c.Conn)
-		e.string(c.Name)
+	}
+	if f&cf.FCond != 0 {
 		e.cond(c.Cond)
 	}
-	// An unknown op encodes as the bare tag; the decoder rejects it.
-	// The client validates envelopes before encoding, so this is only
-	// reachable from hand-built frames.
+	if f&cf.FVector != 0 {
+		var id uint64
+		n := 0
+		if c.Vector != nil && vec != nil {
+			id, n = vec(c.Vector), c.Vector.Len()
+		}
+		e.uvarint(id)
+		e.int(n)
+	}
+	if f&cf.FRecords != 0 {
+		e.lockRecords(c.Records)
+	}
 }
 
-func (d *decoder) batchCmd() cf.BatchCmd {
-	c := cf.BatchCmd{Op: cf.BatchOp(d.u8())}
-	switch c.Op {
-	case cf.BatchOpLockRelease, cf.BatchOpLockForce:
+// args decodes the argument fields of c.Op into c; vec binds a vector
+// ID and length to the server-side shadow vector (nil leaves Vector
+// unset).
+func (d *decoder) args(c *cf.BatchCmd, vec func(id uint64, n int) *cf.BitVector) {
+	f := c.Op.Fields()
+	if f&cf.FConn != 0 {
+		c.Conn = d.string()
+	}
+	if f&cf.FName != 0 {
+		c.Name = d.string()
+	}
+	if f&cf.FIdx != 0 {
 		c.Idx = d.int()
-		c.Conn = d.string()
+	}
+	if f&cf.FMode != 0 {
 		c.Mode = cf.LockMode(d.int())
-	case cf.BatchOpLockSetRecord:
-		c.Conn = d.string()
-		c.Name = d.string()
-		c.Mode = cf.LockMode(d.int())
-	case cf.BatchOpLockDelRecord, cf.BatchOpCacheUnregister:
-		c.Conn = d.string()
-		c.Name = d.string()
-	case cf.BatchOpCacheWrite:
-		c.Conn = d.string()
-		c.Name = d.string()
+	}
+	if f&cf.FData != 0 {
 		c.Data = d.bytes()
+	}
+	if f&cf.FFlags != 0 {
 		c.Cache = d.bool()
 		c.Changed = d.bool()
-		c.VecIdx = d.int()
-	case cf.BatchOpCacheCastoutEnd:
-		c.Conn = d.string()
-		c.Name = d.string()
-		c.Version = d.uvarint()
-	case cf.BatchOpListWrite:
-		c.Conn = d.string()
-		c.Idx = d.int()
-		c.Name = d.string()
-		c.Key = d.string()
-		c.Data = d.bytes()
-		c.Order = cf.Order(d.int())
-		c.Cond = d.cond()
-	case cf.BatchOpListDelete:
-		c.Conn = d.string()
-		c.Name = d.string()
-		c.Cond = d.cond()
-	default:
-		d.fail()
 	}
-	return c
+	if f&cf.FVecIdx != 0 {
+		c.VecIdx = d.int()
+	}
+	if f&cf.FVersion != 0 {
+		c.Version = d.uvarint()
+	}
+	if f&cf.FKey != 0 {
+		c.Key = d.string()
+	}
+	if f&cf.FOrder != 0 {
+		c.Order = cf.Order(d.int())
+	}
+	if f&cf.FCond != 0 {
+		c.Cond = d.cond()
+	}
+	if f&cf.FVector != 0 {
+		id, n := d.uvarint(), d.int()
+		if d.err == nil && vec != nil {
+			c.Vector = vec(id, n)
+		}
+	}
+	if f&cf.FRecords != 0 {
+		c.Records = d.lockRecords()
+	}
+}
+
+// result encodes the result fields op fills.
+func (e *encoder) result(op cf.CmdOp, r *cf.Result) {
+	f := op.Fields()
+	if f&cf.RObtain != 0 {
+		e.bool(r.Obtain.Granted)
+		e.strings(r.Obtain.Holders)
+	}
+	if f&cf.RRead != 0 {
+		e.bytes(r.Read.Data)
+		e.bool(r.Read.Hit)
+		e.uvarint(r.Read.Version)
+	}
+	if f&cf.REntry != 0 {
+		e.listEntry(r.Entry)
+	}
+	if f&cf.RRecords != 0 {
+		e.lockRecords(r.Records)
+	}
+	if f&cf.RNames != 0 {
+		e.strings(r.Names)
+	}
+	if f&cf.REntries != 0 {
+		e.listEntries(r.Entries)
+	}
+	if f&cf.RCounts != 0 {
+		e.int(r.N)
+		e.int(r.M)
+	}
+	if f&cf.RHolder != 0 {
+		e.string(r.Holder)
+	}
+}
+
+// result decodes the result fields op fills into r.
+func (d *decoder) result(op cf.CmdOp, r *cf.Result) {
+	f := op.Fields()
+	if f&cf.RObtain != 0 {
+		r.Obtain = cf.ObtainResult{Granted: d.bool(), Holders: d.strings()}
+	}
+	if f&cf.RRead != 0 {
+		r.Read = cf.ReadResult{Data: d.bytes(), Hit: d.bool(), Version: d.uvarint()}
+	}
+	if f&cf.REntry != 0 {
+		r.Entry = d.listEntry()
+	}
+	if f&cf.RRecords != 0 {
+		r.Records = d.lockRecords()
+	}
+	if f&cf.RNames != 0 {
+		r.Names = d.strings()
+	}
+	if f&cf.REntries != 0 {
+		r.Entries = d.listEntries()
+	}
+	if f&cf.RCounts != 0 {
+		r.N, r.M = d.int(), d.int()
+	}
+	if f&cf.RHolder != 0 {
+		r.Holder = d.string()
+	}
 }
 
 func (e *encoder) batchCmds(cmds []cf.BatchCmd) {
 	e.uvarint(uint64(len(cmds)))
 	for i := range cmds {
-		e.batchCmd(&cmds[i])
+		e.u8(uint8(cmds[i].Op))
+		e.args(&cmds[i], nil)
 	}
 }
 
@@ -597,9 +628,16 @@ func (d *decoder) batchCmds() []cf.BatchCmd {
 		d.fail()
 		return nil
 	}
-	out := make([]cf.BatchCmd, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, d.batchCmd())
+	out := make([]cf.BatchCmd, n)
+	for i := range out {
+		c := &out[i]
+		// Only batchable commands are decoded: their fields carry no
+		// vector, and anything else cannot be framed as a subcommand.
+		if c.Op = cf.CmdOp(d.u8()); !c.Op.Batchable() {
+			d.fail()
+			return nil
+		}
+		d.args(c, nil)
 	}
 	return out
 }

@@ -8,55 +8,91 @@ import (
 	"sysplex/internal/cf"
 )
 
+// sampleCmd fills every argument field, so encoding it under any
+// opcode produces that command's full request shape.
+func sampleCmd(op cf.CmdOp) cf.BatchCmd {
+	return cf.BatchCmd{Op: op, Conn: "SYSA", Name: "MSGQ.7", Idx: 3, Mode: cf.Exclusive,
+		Data: []byte("data"), Cache: true, Changed: true, VecIdx: 5, Version: 9,
+		Key: "key", Order: cf.Keyed, Cond: cf.Cond{Use: true, LockIndex: 1},
+		Vector:  cf.NewBitVector(8),
+		Records: []cf.LockRecord{{Connector: "SYSA", Resource: "R", Mode: cf.Share}}}
+}
+
+// sampleResult fills every result field.
+var sampleResult = cf.Result{
+	Obtain:  cf.ObtainResult{Holders: []string{"SYSB"}},
+	Read:    cf.ReadResult{Data: []byte("page"), Hit: true, Version: 4},
+	Entry:   cf.ListEntry{ID: "id", Key: "k", Data: []byte("d"), Adjunct: "a", List: 2},
+	Records: []cf.LockRecord{{Connector: "SYSA", Resource: "R", Mode: cf.Share}},
+	Names:   []string{"a", "b"},
+	Entries: []cf.ListEntry{{ID: "x"}},
+	N:       7, M: 1, Holder: "SYSC",
+}
+
 // FuzzDecoder throws arbitrary bytes at every decode shape the protocol
-// uses (request headers, each composite field, response envelopes). The
-// invariant is total safety: malformed, truncated, and corrupt payloads
-// must come back as errors — never a panic, never an out-of-bounds
-// read, never a giant allocation from a forged element count.
+// uses (request headers, each command's arguments and results, batch
+// envelopes, response envelopes). The invariant is total safety:
+// malformed, truncated, and corrupt payloads must come back as errors —
+// never a panic, never an out-of-bounds read, never a giant allocation
+// from a forged element count. The corpus is seeded from the command
+// table: every command's request and result, whole and truncated.
 func FuzzDecoder(f *testing.F) {
-	var seed encoder
-	seed.uvarint(12)
-	seed.u8(opListWrite)
-	seed.string("MSGQ")
-	seed.string("SYSA")
-	seed.int(3)
-	seed.string("id-1")
-	seed.string("key")
-	seed.bytes([]byte("data"))
-	seed.int(int(cf.Keyed))
-	seed.cond(cf.Cond{Use: true, LockIndex: 1})
-	f.Add(seed.b)
+	var batch []cf.BatchCmd
+	for op := 0; op < 256; op++ {
+		c := sampleCmd(cf.CmdOp(op))
+		if !c.Op.Valid() {
+			continue
+		}
+		var req encoder
+		req.uvarint(12)
+		req.u8(uint8(op))
+		req.string("MSGQ")
+		req.args(&c, func(*cf.BitVector) uint64 { return 1 })
+		f.Add(req.b)
+		f.Add(req.b[:len(req.b)/2])
+		var res encoder
+		res.u8(uint8(op))
+		res.result(c.Op, &sampleResult)
+		f.Add(res.b)
+		if c.Op.Batchable() {
+			batch = append(batch, c)
+		}
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	var counts encoder
 	counts.uvarint(1 << 50)
 	f.Add(counts.b)
-	// Batch envelope seeds: a well-formed two-subcommand batch, the
+	// Batch envelope seeds: every batchable command in one envelope, the
 	// same one truncated mid-subcommand, and a forged count that
 	// promises more subcommands than the payload carries (the classic
 	// allocation-bomb shape the decoder must refuse).
 	var bseed encoder
-	bseed.batchCmds([]cf.BatchCmd{
-		cf.BatchLockRelease(5, "SYSA", cf.Exclusive),
-		cf.BatchListWrite("SYSA", 1, "id", "key", []byte("rec"), cf.Keyed, cf.Cond{Use: true}),
-	})
+	bseed.batchCmds(batch)
 	f.Add(bseed.b)
 	f.Add(bseed.b[:len(bseed.b)/2])
 	var bcount encoder
 	bcount.uvarint(uint64(cf.MaxBatchOps) + 1)
-	bcount.u8(uint8(cf.BatchOpLockRelease))
+	bcount.u8(uint8(cf.CmdLockRelease))
 	f.Add(bcount.b)
 	var berrs encoder
 	berrs.batchErrs([]error{nil, cf.ErrEntryNotFound, cf.ErrCFDown})
 	f.Add(berrs.b)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// Request-header shape.
+		// Request shape: header, then the opcode's arguments.
 		d := &decoder{b: payload}
 		d.uvarint()
-		d.u8()
+		c := cf.BatchCmd{Op: cf.CmdOp(d.u8())}
 		d.string()
+		d.args(&c, func(uint64, int) *cf.BitVector { return nil })
 		_ = d.finish()
+
+		// Result shape: an opcode byte, then that command's results.
+		rd := &decoder{b: payload}
+		var r cf.Result
+		rd.result(cf.CmdOp(rd.u8()), &r)
+		_ = rd.finish()
 
 		// Every composite decoder.
 		for _, dec := range []func(d *decoder){
@@ -73,7 +109,6 @@ func FuzzDecoder(f *testing.F) {
 					t.Fatalf("batchCmds decoded %d subcommands > MaxBatchOps", len(cmds))
 				}
 			},
-			func(d *decoder) { d.batchCmd() },
 			func(d *decoder) {
 				if errs := d.batchErrs(); len(errs) > cf.MaxBatchOps {
 					t.Fatalf("batchErrs decoded %d statuses > MaxBatchOps", len(errs))
@@ -85,19 +120,13 @@ func FuzzDecoder(f *testing.F) {
 			_ = dd.finish()
 		}
 
-		// Response-envelope shape: code then either detail or results.
-		rd := &decoder{b: payload}
-		code := rd.u8()
-		if code != codeOK {
-			detail := rd.string()
-			if rd.err == nil {
+		// Response-envelope shape: status code then detail.
+		ed := &decoder{b: payload}
+		if code := ed.u8(); code != codeOK {
+			detail := ed.string()
+			if ed.err == nil {
 				_ = decodeErr(code, detail)
 			}
-		} else {
-			rd.bytes()
-			rd.bool()
-			rd.uvarint()
-			_ = rd.finish()
 		}
 	})
 }

@@ -220,3 +220,16 @@ func TestErrCodeRoundTrip(t *testing.T) {
 		t.Fatalf("unknown error detail = %q", got.Error())
 	}
 }
+
+// TestNodeOpcodesClearOfCommandTable: node-level opcodes share the
+// request byte with the cf command table's opcodes and the batch
+// envelope, so no node opcode may collide with either.
+func TestNodeOpcodesClearOfCommandTable(t *testing.T) {
+	for _, op := range []uint8{opStructureNames, opFailed, opFail, opFailAfter, opSetSyncLatency,
+		opDeallocate, opAllocLock, opAllocCache, opAllocList, opStructInfo, opFence,
+		opStructDisconnect, opStructFailConn} {
+		if cf.CmdOp(op).Valid() || cf.CmdOp(op) == cf.CmdBatch {
+			t.Errorf("node opcode %d collides with command %s", op, cf.CmdOp(op))
+		}
+	}
+}

@@ -143,7 +143,7 @@ func TestErrorSentinelsOverWire(t *testing.T) {
 		t.Fatalf("unconnected err = %v, want ErrNotConnected", err)
 	}
 	// Model mismatch surfaces on the command, not the handle.
-	rl := &remoteLock{remoteStruct{c: c, name: "Q", model: cf.LockModel, size: 8}}
+	rl := c.handle("Q", cf.LockModel, 8).(cf.Lock)
 	if err := rl.Connect(ctx, "SYSA"); !errors.Is(err, cf.ErrWrongModel) {
 		t.Fatalf("wrong model err = %v, want ErrWrongModel", err)
 	}

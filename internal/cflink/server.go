@@ -325,7 +325,7 @@ func (ses *session) serve() {
 
 // reply sends a success response; body (may be nil) appends the result
 // fields.
-func (ses *session) reply(reqID uint64, body func(e *encoder)) {
+func (ses *session) reply(reqID uint64, body results) {
 	var e encoder
 	e.uvarint(reqID)
 	e.u8(codeOK)
@@ -414,591 +414,146 @@ func (ses *session) notifyWriter(conn net.Conn) {
 // learns the outcome (or loses the link and treats the CF as down).
 func (ses *session) dispatch(reqID uint64, op uint8, d *decoder) {
 	ctx := context.Background()
+	switch {
+	case op == uint8(cf.CmdBatch):
+		ses.dispatchBatch(ctx, reqID, d)
+	case cf.CmdOp(op).Valid():
+		ses.dispatchCmd(ctx, reqID, cf.CmdOp(op), d)
+	default:
+		body, err := ses.node(op, d)
+		if err != nil {
+			ses.replyErr(reqID, err)
+			return
+		}
+		ses.reply(reqID, body)
+	}
+}
+
+// results appends a response's result fields.
+type results func(e *encoder)
+
+// node runs one node-level command: decode its arguments, check the
+// frame was consumed exactly, then act. It returns the encoder of the
+// command's results (nil when it has none).
+func (ses *session) node(op uint8, d *decoder) (results, error) {
 	fac := ses.srv.fac
+	var act func() (results, error)
 	switch op {
-	// ---- node-level ----
 	case opStructureNames:
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+		act = func() (results, error) {
+			names := fac.StructureNames()
+			return func(e *encoder) { e.strings(names) }, nil
 		}
-		names := fac.StructureNames()
-		ses.reply(reqID, func(e *encoder) { e.strings(names) })
 	case opFailed:
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+		act = func() (results, error) {
+			failed := fac.Failed()
+			return func(e *encoder) { e.bool(failed) }, nil
 		}
-		failed := fac.Failed()
-		ses.reply(reqID, func(e *encoder) { e.bool(failed) })
 	case opFail:
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		fac.Fail()
-		ses.reply(reqID, nil)
+		act = func() (results, error) { fac.Fail(); return nil, nil }
 	case opFailAfter:
 		n := d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		fac.FailAfter(n)
-		ses.reply(reqID, nil)
+		act = func() (results, error) { fac.FailAfter(n); return nil, nil }
 	case opSetSyncLatency:
 		ns := d.varint()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		fac.SetSyncLatency(time.Duration(ns))
-		ses.reply(reqID, nil)
+		act = func() (results, error) { fac.SetSyncLatency(time.Duration(ns)); return nil, nil }
 	case opDeallocate:
 		name := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := fac.Deallocate(name); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
+		act = func() (results, error) { return nil, fac.Deallocate(name) }
 	case opAllocLock:
 		name, entries := d.string(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+		act = func() (results, error) {
+			_, err := fac.AllocateLockStructure(name, entries)
+			return nil, err
 		}
-		if _, err := fac.AllocateLockStructure(name, entries); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
 	case opAllocCache:
 		name, maxEntries := d.string(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+		act = func() (results, error) {
+			_, err := fac.AllocateCacheStructure(name, maxEntries)
+			return nil, err
 		}
-		if _, err := fac.AllocateCacheStructure(name, maxEntries); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
 	case opAllocList:
 		name, nLists, nLocks, maxEntries := d.string(), d.int(), d.int(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+		act = func() (results, error) {
+			_, err := fac.AllocateListStructure(name, nLists, nLocks, maxEntries)
+			return nil, err
 		}
-		if _, err := fac.AllocateListStructure(name, nLists, nLocks, maxEntries); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
 	case opStructInfo:
 		name := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+		act = func() (results, error) {
+			r := fac.Structure(name)
+			if r == nil {
+				return func(e *encoder) { e.bool(false); e.int(0); e.int(0) }, nil
+			}
+			model, size := r.ReplicaModel(), 0
+			switch model {
+			case cf.LockModel:
+				size = r.(cf.Lock).Entries()
+			case cf.ListModel:
+				size = r.(cf.List).Lists()
+			}
+			return func(e *encoder) { e.bool(true); e.int(int(model)); e.int(size) }, nil
 		}
-		r := fac.Structure(name)
-		if r == nil {
-			ses.reply(reqID, func(e *encoder) { e.bool(false); e.int(0); e.int(0) })
-			return
-		}
-		model := r.ReplicaModel()
-		size := 0
-		switch model {
-		case cf.LockModel:
-			size = r.(cf.Lock).Entries()
-		case cf.ListModel:
-			size = r.(cf.List).Lists()
-		}
-		ses.reply(reqID, func(e *encoder) { e.bool(true); e.int(int(model)); e.int(size) })
 	case opFence:
 		system := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.srv.Fence(system)
-		ses.reply(reqID, nil)
-	case opStructDisconnect:
+		act = func() (results, error) { ses.srv.Fence(system); return nil, nil }
+	case opStructDisconnect, opStructFailConn:
 		name, conn := d.string(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+		act = func() (results, error) {
+			r := fac.Structure(name)
+			if r == nil {
+				return nil, fmt.Errorf("%w: %q", cf.ErrNoStructure, name)
+			}
+			if op == opStructDisconnect {
+				r.ReplicaDisconnect(conn)
+			} else {
+				r.ReplicaFailConnector(conn)
+			}
+			return nil, nil
 		}
-		r := fac.Structure(name)
-		if r == nil {
-			ses.replyErr(reqID, fmt.Errorf("%w: %q", cf.ErrNoStructure, name))
-			return
-		}
-		r.ReplicaDisconnect(conn)
-		ses.reply(reqID, nil)
-	case opStructFailConn:
-		name, conn := d.string(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		r := fac.Structure(name)
-		if r == nil {
-			ses.replyErr(reqID, fmt.Errorf("%w: %q", cf.ErrNoStructure, name))
-			return
-		}
-		r.ReplicaFailConnector(conn)
-		ses.reply(reqID, nil)
-
-	// ---- lock model ----
-	case opLockConnect, opLockObtain, opLockForce, opLockRelease, opLockInterest,
-		opLockSetRecord, opLockDelRecord, opLockRecords, opLockAdopt, opLockRetainedConns:
-		ses.dispatchLock(ctx, reqID, op, d)
-
-	// ---- cache model ----
-	case opCacheConnect, opCacheRead, opCacheWrite, opCacheUnregister, opCacheCastoutBegin,
-		opCacheCastoutEnd, opCacheChangedBlocks, opCacheRegistered, opCacheVersion:
-		ses.dispatchCache(ctx, reqID, op, d)
-
-	// ---- list model ----
-	case opListConnect, opListSetLock, opListReleaseLock, opListLockHolder, opListWrite,
-		opListRead, opListReadFirst, opListPop, opListDelete, opListMove, opListSetAdjunct,
-		opListLen, opListEntries, opListTotalEntries, opListMonitor, opListUnmonitor:
-		ses.dispatchList(ctx, reqID, op, d)
-
-	// ---- batch envelope ----
-	case opBatch:
-		ses.dispatchBatch(ctx, reqID, d)
-
 	default:
-		ses.replyErr(reqID, fmt.Errorf("cflink: unknown opcode %d", op))
+		return nil, fmt.Errorf("cflink: unknown opcode %d", op)
 	}
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	return act()
 }
 
-func (ses *session) dispatchLock(ctx context.Context, reqID uint64, op uint8, d *decoder) {
+// dispatchCmd runs one structure command: decode the structure name
+// and the command's table-declared arguments, apply it through the
+// facility, and encode its table-declared results.
+func (ses *session) dispatchCmd(ctx context.Context, reqID uint64, op cf.CmdOp, d *decoder) {
 	name := d.string()
-	if d.err != nil {
-		ses.replyErr(reqID, ErrMalformed)
+	x := cmdPool.Get().(*cmdStore)
+	defer cmdPool.Put(x)
+	x.c, x.r = cf.BatchCmd{Op: op}, cf.Result{}
+	d.args(&x.c, ses.vector)
+	if err := d.finish(); err != nil {
+		ses.replyErr(reqID, err)
 		return
 	}
-	ls, err := ses.srv.fac.LockStructure(name)
+	rep, err := ses.srv.fac.Lookup(name, op.Model())
 	if err != nil {
 		ses.replyErr(reqID, err)
 		return
 	}
-	switch op {
-	case opLockConnect:
-		conn := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.Connect(ctx, conn); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockObtain:
-		idx, conn, mode := d.int(), d.string(), cf.LockMode(d.int())
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		res, err := ls.Obtain(ctx, idx, conn, mode)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.bool(res.Granted); e.strings(res.Holders) })
-	case opLockForce:
-		idx, conn, mode := d.int(), d.string(), cf.LockMode(d.int())
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.ForceObtain(ctx, idx, conn, mode); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockRelease:
-		idx, conn, mode := d.int(), d.string(), cf.LockMode(d.int())
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.Release(ctx, idx, conn, mode); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockInterest:
-		idx, conn := d.int(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		share, excl, err := ls.Interest(idx, conn)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.int(share); e.int(excl) })
-	case opLockSetRecord:
-		conn, resource, mode := d.string(), d.string(), cf.LockMode(d.int())
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.SetRecord(ctx, conn, resource, mode); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockDelRecord:
-		conn, resource := d.string(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.DeleteRecord(ctx, conn, resource); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockRecords:
-		conn := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		recs, err := ls.Records(ctx, conn)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.lockRecords(recs) })
-	case opLockAdopt:
-		conn := d.string()
-		recs := d.lockRecords()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ls.AdoptRetained(conn, recs)
-		ses.reply(reqID, nil)
-	case opLockRetainedConns:
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		conns := ls.RetainedConnectors()
-		ses.reply(reqID, func(e *encoder) { e.strings(conns) })
-	}
-}
-
-func (ses *session) dispatchCache(ctx context.Context, reqID uint64, op uint8, d *decoder) {
-	name := d.string()
-	if d.err != nil {
-		ses.replyErr(reqID, ErrMalformed)
-		return
-	}
-	cs, err := ses.srv.fac.CacheStructure(name)
-	if err != nil {
+	if err := rep.Exec(ctx, &x.c, &x.r); err != nil {
 		ses.replyErr(reqID, err)
 		return
 	}
-	switch op {
-	case opCacheConnect:
-		conn, vecID, vecLen := d.string(), d.uvarint(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := cs.Connect(ctx, conn, ses.vector(vecID, vecLen)); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opCacheRead:
-		conn, block, vecIdx := d.string(), d.string(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		res, err := cs.ReadAndRegister(ctx, conn, block, vecIdx)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) {
-			e.bytes(res.Data)
-			e.bool(res.Hit)
-			e.uvarint(res.Version)
-		})
-	case opCacheWrite:
-		conn, block := d.string(), d.string()
-		data := d.bytes()
-		doCache, changed, vecIdx := d.bool(), d.bool(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := cs.WriteAndInvalidate(ctx, conn, block, data, doCache, changed, vecIdx); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opCacheUnregister:
-		conn, block := d.string(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := cs.Unregister(ctx, conn, block); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opCacheCastoutBegin:
-		conn, block := d.string(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		data, version, err := cs.CastoutBegin(ctx, conn, block)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.bytes(data); e.uvarint(version) })
-	case opCacheCastoutEnd:
-		conn, block, version := d.string(), d.string(), d.uvarint()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := cs.CastoutEnd(ctx, conn, block, version); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opCacheChangedBlocks:
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		blocks := cs.ChangedBlocks()
-		ses.reply(reqID, func(e *encoder) { e.strings(blocks) })
-	case opCacheRegistered:
-		block := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		conns := cs.Registered(block)
-		ses.reply(reqID, func(e *encoder) { e.strings(conns) })
-	case opCacheVersion:
-		block := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		v := cs.Version(block)
-		ses.reply(reqID, func(e *encoder) { e.uvarint(v) })
-	}
+	ses.reply(reqID, func(e *encoder) { e.result(op, &x.r) })
 }
 
-func (ses *session) dispatchList(ctx context.Context, reqID uint64, op uint8, d *decoder) {
-	name := d.string()
-	if d.err != nil {
-		ses.replyErr(reqID, ErrMalformed)
-		return
-	}
-	lst, err := ses.srv.fac.ListStructure(name)
-	if err != nil {
-		ses.replyErr(reqID, err)
-		return
-	}
-	switch op {
-	case opListConnect:
-		conn, vecID, vecLen := d.string(), d.uvarint(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Connect(ctx, conn, ses.vector(vecID, vecLen)); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListSetLock:
-		idx, conn := d.int(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.SetLock(ctx, idx, conn); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListReleaseLock:
-		idx, conn := d.int(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.ReleaseLock(ctx, idx, conn); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListLockHolder:
-		idx := d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		holder := lst.LockHolder(idx)
-		ses.reply(reqID, func(e *encoder) { e.string(holder) })
-	case opListWrite:
-		conn, list, id, key := d.string(), d.int(), d.string(), d.string()
-		data := d.bytes()
-		order := cf.Order(d.int())
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Write(ctx, conn, list, id, key, data, order, cond); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListRead:
-		conn, id := d.string(), d.string()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		le, err := lst.Read(ctx, conn, id, cond)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.listEntry(le) })
-	case opListReadFirst:
-		conn, list := d.string(), d.int()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		le, err := lst.ReadFirst(ctx, conn, list, cond)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.listEntry(le) })
-	case opListPop:
-		conn, list := d.string(), d.int()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		le, err := lst.Pop(ctx, conn, list, cond)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.listEntry(le) })
-	case opListDelete:
-		conn, id := d.string(), d.string()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Delete(ctx, conn, id, cond); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListMove:
-		conn, id, toList := d.string(), d.string(), d.int()
-		order := cf.Order(d.int())
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Move(ctx, conn, id, toList, order, cond); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListSetAdjunct:
-		conn, id, adjunct := d.string(), d.string(), d.string()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.SetAdjunct(ctx, conn, id, adjunct, cond); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListLen:
-		list := d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		n := lst.Len(list)
-		ses.reply(reqID, func(e *encoder) { e.int(n) })
-	case opListEntries:
-		list := d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		es := lst.Entries(list)
-		ses.reply(reqID, func(e *encoder) { e.listEntries(es) })
-	case opListTotalEntries:
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		n := lst.TotalEntries()
-		ses.reply(reqID, func(e *encoder) { e.int(n) })
-	case opListMonitor:
-		conn, list, vecIdx := d.string(), d.int(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Monitor(ctx, conn, list, vecIdx); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListUnmonitor:
-		conn, list := d.string(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		lst.Unmonitor(conn, list)
-		ses.reply(reqID, nil)
-	}
+// cmdStore holds one dispatched command and its result. Exec takes
+// pointers through an interface, so they would escape to the heap;
+// pooling them keeps the server's per-command garbage down.
+type cmdStore struct {
+	c cf.BatchCmd
+	r cf.Result
 }
+
+var cmdPool = sync.Pool{New: func() any { return new(cmdStore) }}
 
 // dispatchBatch runs one batch envelope against the named structure:
 // the whole envelope executes as one server-side command (the
@@ -1017,33 +572,12 @@ func (ses *session) dispatchBatch(ctx context.Context, reqID uint64, d *decoder)
 		ses.replyErr(reqID, fmt.Errorf("%w: empty batch", cf.ErrBadArgument))
 		return
 	}
-	model, ok := cmds[0].Op.Model()
-	if !ok {
-		ses.replyErr(reqID, fmt.Errorf("%w: unknown batch op %d", cf.ErrBadArgument, int(cmds[0].Op)))
+	rep, err := ses.srv.fac.Lookup(name, cmds[0].Op.Model())
+	if err != nil {
+		ses.replyErr(reqID, err)
 		return
 	}
-	var (
-		errs []error
-		err  error
-	)
-	fac := ses.srv.fac
-	switch model {
-	case cf.LockModel:
-		var ls cf.Lock
-		if ls, err = fac.LockStructure(name); err == nil {
-			errs, err = ls.Batch(ctx, cmds)
-		}
-	case cf.CacheModel:
-		var cs cf.Cache
-		if cs, err = fac.CacheStructure(name); err == nil {
-			errs, err = cs.Batch(ctx, cmds)
-		}
-	default:
-		var lst cf.List
-		if lst, err = fac.ListStructure(name); err == nil {
-			errs, err = lst.Batch(ctx, cmds)
-		}
-	}
+	errs, err := rep.Batch(ctx, cmds)
 	if err != nil {
 		ses.replyErr(reqID, err)
 		return

@@ -13,6 +13,8 @@ import (
 	"sysplex/internal/cf"
 	"sysplex/internal/dasd"
 	"sysplex/internal/lockmgr"
+	"sysplex/internal/logr"
+	"sysplex/internal/timer"
 	"sysplex/internal/vclock"
 	"sysplex/internal/xcf"
 )
@@ -22,39 +24,52 @@ type dbFixture struct {
 	fac     *cf.Facility
 	plex    *xcf.Sysplex
 	locks   map[string]*lockmgr.Manager
+	loggers map[string]*logr.Manager
 	engines map[string]*Engine
 }
 
+// newDBFixture opens engine DBP1 with table ACCT on each system, the
+// write-ahead log on System Logger streams.
 func newDBFixture(t *testing.T, systems ...string) *dbFixture {
 	t.Helper()
-	farm := dasd.NewFarm(vclock.Real())
-	if _, err := farm.AddVolume("DBVOL", 4096, 2); err != nil {
+	clock := vclock.Real()
+	farm := dasd.NewFarm(clock)
+	if _, err := farm.AddVolume("DBVOL", 8192, 2); err != nil {
 		t.Fatal(err)
 	}
 	pri, _ := farm.Allocate("DBVOL", "XCF.CDS", 128)
-	store, _ := cds.New("S", vclock.Real(), pri, nil, cds.Options{})
-	plex := xcf.NewSysplex("PLEX1", vclock.Real(), store, farm, xcf.Options{})
-	fac := cf.New("CF01", vclock.Real())
+	store, _ := cds.New("S", clock, pri, nil, cds.Options{})
+	plex := xcf.NewSysplex("PLEX1", clock, store, farm, xcf.Options{})
+	fac := cf.New("CF01", clock)
 	ls, err := fac.AllocateLockStructure("IRLM", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &dbFixture{farm: farm, fac: fac, plex: plex,
-		locks: map[string]*lockmgr.Manager{}, engines: map[string]*Engine{}}
+	tmr := timer.New(clock)
+	fx := &dbFixture{farm: farm, fac: fac, plex: plex, locks: map[string]*lockmgr.Manager{},
+		loggers: map[string]*logr.Manager{}, engines: map[string]*Engine{}}
 	for _, s := range systems {
 		sys, err := plex.Join(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm, err := lockmgr.New(context.Background(), sys, ls, vclock.Real())
+		lm, err := lockmgr.New(context.Background(), sys, ls, clock)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fx.locks[s] = lm
+		logger, err := logr.New(logr.Config{
+			System: s, Front: fac, Farm: farm, Volume: "DBVOL",
+			Timer: tmr, Clock: clock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.loggers[s] = logger
 		eng, err := Open(context.Background(), Config{
 			Name: "DBP1", System: s, Farm: farm, Volume: "DBVOL",
 			Facility: fac, Locks: lm, LockTimeout: 3 * time.Second,
-			PoolFrames: 64, LogBlocks: 256,
+			PoolFrames: 64, Logger: logger,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -332,7 +347,7 @@ func TestPeerRecoveryRedoesCommittedChanges(t *testing.T) {
 
 	// Simulate SYS1 dying mid-commit: COMMIT record logged but pages
 	// never applied. We write the log records directly, then kill SYS1.
-	err := e1.log.Append(
+	err := e1.appendLog(context.Background(),
 		&LogRecord{Tx: "SYS1-999999", Kind: recUpdate, Table: "ACCT", Key: "gina", Before: []byte("old"), After: []byte("new")},
 		&LogRecord{Tx: "SYS1-999999", Kind: recUpdate, Table: "ACCT", Key: "hank", After: []byte("born")},
 		&LogRecord{Tx: "SYS1-999999", Kind: recCommit},
@@ -381,9 +396,9 @@ func TestRecoverySkipsUncommittedAndEnded(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
 	// Uncommitted (in-flight) transaction: update logged, no COMMIT.
-	e1.log.Append(&LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Table: "ACCT", Key: "ivy", After: []byte("ghost")})
+	e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Table: "ACCT", Key: "ivy", After: []byte("ghost")})
 	// Fully applied transaction: COMMIT + END.
-	e1.log.Append(
+	e1.appendLog(context.Background(),
 		&LogRecord{Tx: "SYS1-888888", Kind: recUpdate, Table: "ACCT", Key: "judy", After: []byte("stale")},
 		&LogRecord{Tx: "SYS1-888888", Kind: recCommit},
 		&LogRecord{Tx: "SYS1-888888", Kind: recEnd},
@@ -480,11 +495,11 @@ func TestLogSurvivesEngineRestart(t *testing.T) {
 	tx := e.Begin(context.Background())
 	tx.Put("ACCT", "kate", []byte("v"))
 	tx.Commit()
-	// Re-open the engine over the same datasets (system re-IPL).
-	lm := fx.locks["SYS1"]
+	// Re-open the engine over the same datasets and log streams
+	// (system re-IPL).
 	e2, err := Open(context.Background(), Config{
 		Name: "DBP1", System: "SYS1", Farm: fx.farm, Volume: "DBVOL",
-		Facility: fx.fac, Locks: lm, PoolFrames: 64, LogBlocks: 256,
+		Facility: fx.fac, Locks: fx.locks["SYS1"], Logger: fx.loggers["SYS1"], PoolFrames: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -492,9 +507,18 @@ func TestLogSurvivesEngineRestart(t *testing.T) {
 	if err := e2.OpenTable(context.Background(), "ACCT", 16); err != nil {
 		t.Fatal(err)
 	}
-	// The new WAL must continue after the old records, not overwrite.
-	if e2.log.nextBlk == 0 {
-		t.Fatal("log position lost on restart")
+	// The reopened log still holds the committed update and its
+	// COMMIT/END.
+	cur, err := e2.tables["ACCT"].stream.Browse(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scur, err := e2.sync.Browse(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Len() != 1 || scur.Len() != 2 {
+		t.Fatalf("log after restart: %d update and %d sync records, want 1 and 2", cur.Len(), scur.Len())
 	}
 	tx2 := e2.Begin(context.Background())
 	v, ok, err := tx2.Get("ACCT", "kate")

@@ -162,47 +162,3 @@ func TestColdRestartReplaysWAL(t *testing.T) {
 	}
 	tx3.Commit()
 }
-
-// TestLegacyWALSyncsOnDurableFarm: the per-system log dataset forces to
-// stable storage on every append, so a power cut after Append returns
-// cannot lose the records.
-func TestLegacyWALSyncsOnDurableFarm(t *testing.T) {
-	dir := t.TempDir()
-	clock := vclock.Real()
-	farm, err := dasd.OpenFarm(clock, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := farm.AddVolume("DBVOL", 256, 1); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := farm.Allocate("DBVOL", "LOG.TEST.SYS1", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := openWAL("SYS1", ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(&LogRecord{Tx: "SYS1-1", Kind: recCommit}); err != nil {
-		t.Fatal(err)
-	}
-	dasd.PowerCutFarm(farm)
-
-	farm2, err := dasd.OpenFarm(clock, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer farm2.Close()
-	ds2, err := farm2.Dataset("LOG.TEST.SYS1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := readLogRecords("SYS1", ds2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Tx != "SYS1-1" {
-		t.Fatalf("recovered %d records %+v, want the appended COMMIT", len(recs), recs)
-	}
-}

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -76,6 +77,12 @@ type Manager struct {
 	nextReq   uint64
 	stats     Stats
 	shutdown  bool
+	// wakeEpoch counts release signals received from peers. A request
+	// that negotiated with remote holders installs its waiter only
+	// after the replies; a holder that released in between signalled
+	// a waiter that did not exist yet, so a moved epoch makes the new
+	// waiter retry at once instead of sleeping out its timeout.
+	wakeEpoch uint64
 }
 
 // resource is the local lock state for one resource name.
@@ -86,6 +93,13 @@ type resource struct {
 	// remoteWaiters lists systems waiting for this manager to release
 	// the resource; they are signalled on release.
 	remoteWaiters map[string]bool
+	// acquiring holds local owners with a grant attempt in flight and
+	// the mode they ask for; until decided they conflict like holders.
+	acquiring map[string]cf.LockMode
+	// converting holds local owners upgrading Share to Exclusive here,
+	// from the first grant attempt until Lock returns; true marks one
+	// chosen as a conversion-deadlock victim.
+	converting map[string]bool
 }
 
 type waiter struct {
@@ -161,6 +175,7 @@ func (m *Manager) Lock(ctx context.Context, owner, resourceName string, mode cf.
 	start := m.clock.Now()
 	deadline := start.Add(timeout)
 	defer func() { m.reg.Histogram("lock.latency").Observe(m.clock.Since(start)) }()
+	defer m.endConversion(owner, resourceName)
 	for {
 		if err := vclock.Check(ctx, m.clock); err != nil {
 			return err
@@ -184,7 +199,8 @@ func (m *Manager) Lock(ctx context.Context, owner, resourceName string, mode cf.
 			m.removeWaiter(resourceName, st.w)
 			return ctx.Err()
 		case <-st.w.wake:
-			// retry
+			// Retry; a still-blocked attempt installs a fresh waiter.
+			m.removeWaiter(resourceName, st.w)
 		case <-st.w.abort:
 			m.removeWaiter(resourceName, st.w)
 			m.mu.Lock()
@@ -233,61 +249,188 @@ func (m *Manager) tryLock(ctx context.Context, owner, resourceName string, mode 
 		}
 		hadShare = cur == cf.Share && mode == cf.Exclusive
 	}
+	if hadShare {
+		if r.converting[owner] {
+			m.mu.Unlock()
+			m.bump(func(s *Stats) { s.Deadlocks++ })
+			return tryResult{}, fmt.Errorf("%w: %s converting %s", ErrDeadlock, owner, resourceName)
+		}
+		r.converting[owner] = false
+	}
+	// Until the grant is decided the attempt conflicts like a holder:
+	// the CF may grant it before this table records the holder, and a
+	// peer negotiating in that window must not read the resource as
+	// free and force its own incompatible grant.
+	r.acquiring[owner] = mode
+	epoch := m.wakeEpoch
 	m.mu.Unlock()
 
+	entry, granted, blockers, err := m.obtain(ctx, owner, resourceName, mode, hadShare)
+
+	m.mu.Lock()
+	r = m.resourceLocked(resourceName)
+	delete(r.acquiring, owner)
+	if err == nil && granted {
+		r.holders[owner] = mode
+		m.mu.Unlock()
+		if mode == cf.Exclusive {
+			// Persistent record: peers recover this if we fail (§3.3.1).
+			// If the CF is down the grant stands, just without crash
+			// coverage.
+			_ = m.structure().SetRecord(ctx, m.sysName, resourceName, mode)
+		}
+		if hadShare {
+			// Upgrade: drop the superseded share interest on the entry.
+			// The exclusive interest already covers us if this fails.
+			_ = m.structure().Release(ctx, entry, m.sysName, cf.Share)
+		}
+		m.bump(func(s *Stats) { s.Locks++ })
+		return tryResult{granted: true}, nil
+	}
+	// Not granted: whoever waited on the attempt re-drives.
+	toWake, remote := m.takeWaitersLocked(r, owner)
+	var w *waiter
+	if err == nil && r.converting[owner] {
+		// Chosen as a conversion-deadlock victim while negotiating.
+		err = fmt.Errorf("%w: %s converting %s", ErrDeadlock, owner, resourceName)
+	}
+	if err == nil {
+		w = m.installWaiterLocked(r, owner, mode, blockers)
+		if m.wakeEpoch != epoch {
+			w.wake <- struct{}{}
+		}
+	}
+	m.mu.Unlock()
+	m.wake(resourceName, toWake, remote)
+	if errors.Is(err, ErrDeadlock) {
+		m.bump(func(s *Stats) { s.Deadlocks++ })
+	}
+	return tryResult{w: w}, err
+}
+
+// obtain asks the CF for the lock, negotiating with the holders of a
+// contended entry. It reports the entry, whether the lock is granted,
+// and otherwise the owners it must wait for.
+func (m *Manager) obtain(ctx context.Context, owner, resourceName string, mode cf.LockMode, convert bool) (int, bool, []string, error) {
 	// Retained-lock screen: resources exclusively recorded by a failed
 	// system stay protected until peer recovery deletes the records.
 	if holder, retained, err := m.retainedConflict(ctx, resourceName, mode); err != nil {
-		return tryResult{}, err
+		return 0, false, nil, err
 	} else if retained {
-		return tryResult{}, fmt.Errorf("%w: %s held by failed %s", ErrRetained, resourceName, holder)
+		return 0, false, nil, fmt.Errorf("%w: %s held by failed %s", ErrRetained, resourceName, holder)
 	}
-
 	ls := m.structure()
 	entry := ls.HashResource(resourceName)
 	res, err := ls.Obtain(ctx, entry, m.sysName, mode)
 	if err != nil {
-		return tryResult{}, err
+		return entry, false, nil, err
 	}
 	if res.Granted {
-		m.grantLocal(ctx, resourceName, owner, mode, entry)
-		if hadShare {
-			// Upgrade: drop the superseded share interest on the entry.
-			// The exclusive interest already covers us if this fails.
-			_ = ls.Release(ctx, entry, m.sysName, cf.Share)
-		}
-		m.bump(func(s *Stats) { s.Locks++; s.FastGrants++ })
-		return tryResult{granted: true}, nil
+		m.bump(func(s *Stats) { s.FastGrants++ })
+		return entry, true, nil, nil
 	}
-
 	// Entry contention: negotiate selectively with the holders the CF
 	// identified.
 	m.bump(func(s *Stats) { s.Contentions++ })
-	conflictOwners, err := m.negotiate(res.Holders, resourceName, mode)
+	conflictOwners, victim, err := m.negotiate(res.Holders, resourceName, owner, mode, convert)
 	if err != nil {
-		return tryResult{}, err
+		return entry, false, nil, err
+	}
+	if victim {
+		return entry, false, nil, fmt.Errorf("%w: %s converting %s", ErrDeadlock, owner, resourceName)
 	}
 	if len(conflictOwners) == 0 {
 		// False contention: distinct resources share the entry.
 		m.bump(func(s *Stats) { s.FalseContentions++ })
 		if err := ls.ForceObtain(ctx, entry, m.sysName, mode); err != nil {
-			return tryResult{}, err
+			return entry, false, nil, err
 		}
-		m.grantLocal(ctx, resourceName, owner, mode, entry)
-		if hadShare {
-			// As above: superseded by the exclusive interest.
-			_ = ls.Release(ctx, entry, m.sysName, cf.Share)
+		// The answers describe a moment now past: a holder's own request
+		// may have been granted on the entry since. The forced interest
+		// makes the CF refuse every new incompatible request on the
+		// entry, so one more round with its current holders settles it.
+		if conflictOwners, victim, err = m.recheck(ctx, ls, entry, resourceName, owner, mode, convert); err != nil || victim || len(conflictOwners) > 0 {
+			// The grant is withdrawn with its interest; Release fails only
+			// with the structure, and then nothing is held anyway.
+			_ = ls.Release(ctx, entry, m.sysName, mode)
+			if err == nil && victim {
+				err = fmt.Errorf("%w: %s converting %s", ErrDeadlock, owner, resourceName)
+			}
+			return entry, false, conflictOwners, err
 		}
-		m.bump(func(s *Stats) { s.Locks++ })
-		return tryResult{granted: true}, nil
+		return entry, true, nil, nil
 	}
 	// Real contention: wait for the remote release signal.
 	m.bump(func(s *Stats) { s.RealContentions++ })
+	return entry, false, conflictOwners, nil
+}
+
+// recheck negotiates again with the current holders of an entry on
+// which owner already holds forced interest in mode.
+func (m *Manager) recheck(ctx context.Context, ls cf.Lock, entry int, resourceName, owner string, mode cf.LockMode, convert bool) ([]string, bool, error) {
+	res, err := ls.Obtain(ctx, entry, m.sysName, mode)
+	if err != nil {
+		return nil, false, err
+	}
+	if res.Granted {
+		// Nobody else holds the entry: the probe recorded a second unit
+		// of our interest; return it.
+		return nil, false, ls.Release(ctx, entry, m.sysName, mode)
+	}
+	return m.negotiate(res.Holders, resourceName, owner, mode, convert)
+}
+
+// takeWaitersLocked collects what a withdrawn grant attempt of owner
+// must wake: local waiters blocked behind owner, and every system
+// registered for a release signal (its registration may have come from
+// the attempt). Caller holds m.mu.
+func (m *Manager) takeWaitersLocked(r *resource, owner string) (local []*waiter, remote []string) {
+	for _, w := range r.waiters {
+		for _, b := range w.blocks {
+			if b == owner {
+				local = append(local, w)
+				break
+			}
+		}
+	}
+	for sysN := range r.remoteWaiters {
+		remote = append(remote, sysN)
+	}
+	r.remoteWaiters = make(map[string]bool)
+	return local, remote
+}
+
+// wake signals local waiters and remote systems to re-drive their
+// requests on a resource.
+func (m *Manager) wake(resourceName string, local []*waiter, remote []string) {
+	for _, w := range local {
+		select {
+		case w.wake <- struct{}{}:
+		default:
+		}
+	}
+	for _, sysN := range remote {
+		m.send(sysN, wireMsg{Type: msgWakeup, Resource: resourceName})
+	}
+}
+
+// endConversion forgets owner's Share-to-Exclusive conversion of a
+// resource, if it had one in flight.
+func (m *Manager) endConversion(owner, resourceName string) {
 	m.mu.Lock()
-	r = m.resourceLocked(resourceName)
-	w := m.installWaiterLocked(r, owner, mode, conflictOwners)
-	m.mu.Unlock()
-	return tryResult{w: w}, nil
+	defer m.mu.Unlock()
+	if r := m.resources[resourceName]; r != nil {
+		delete(r.converting, owner)
+		m.dropIfIdleLocked(r)
+	}
+}
+
+// dropIfIdleLocked forgets a resource nobody holds, waits on, acquires
+// or converts. Caller holds m.mu.
+func (m *Manager) dropIfIdleLocked(r *resource) {
+	if len(r.holders) == 0 && len(r.waiters) == 0 && len(r.acquiring) == 0 && len(r.converting) == 0 {
+		delete(m.resources, r.name)
+	}
 }
 
 // Unlock releases owner's hold on the resource.
@@ -313,10 +456,7 @@ func (m *Manager) Unlock(ctx context.Context, owner, resourceName string) error 
 		remote = append(remote, sysN)
 	}
 	r.remoteWaiters = make(map[string]bool)
-	empty := len(r.holders) == 0 && len(r.waiters) == 0
-	if empty {
-		delete(m.resources, resourceName)
-	}
+	m.dropIfIdleLocked(r)
 	m.mu.Unlock()
 
 	ls := m.structure()
@@ -328,17 +468,7 @@ func (m *Manager) Unlock(ctx context.Context, owner, resourceName string) error 
 		// A stale record is harmless: recovery re-grants and overwrites.
 		_ = ls.DeleteRecord(ctx, m.sysName, resourceName)
 	}
-	// Wake local waiters to retry.
-	for _, w := range toWake {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
-	// Signal remote waiters.
-	for _, sysN := range remote {
-		m.send(sysN, wireMsg{Type: msgWakeup, Resource: resourceName})
-	}
+	m.wake(resourceName, toWake, remote)
 	return nil
 }
 
@@ -382,9 +512,7 @@ func (m *Manager) UnlockAll(ctx context.Context, owner string, resourceNames []s
 			remotes = append(remotes, remoteWake{sysN, resourceName})
 		}
 		r.remoteWaiters = make(map[string]bool)
-		if len(r.holders) == 0 && len(r.waiters) == 0 {
-			delete(m.resources, resourceName)
-		}
+		m.dropIfIdleLocked(r)
 		rels = append(rels, release{resourceName, mode})
 	}
 	m.mu.Unlock()
@@ -395,12 +523,12 @@ func (m *Manager) UnlockAll(ctx context.Context, owner string, resourceNames []s
 	ls := m.structure()
 	cmds := make([]cf.BatchCmd, 0, 2*len(rels))
 	for _, rl := range rels {
-		cmds = append(cmds, cf.BatchLockRelease(ls.HashResource(rl.name), m.sysName, rl.mode))
+		cmds = append(cmds, cf.BatchCmd{Op: cf.CmdLockRelease, Idx: ls.HashResource(rl.name), Conn: m.sysName, Mode: rl.mode})
 		if rl.mode == cf.Exclusive {
 			// A stale record is harmless: recovery re-grants and
 			// overwrites — its per-sub error is discarded below, same
 			// as Unlock discards DeleteRecord's.
-			cmds = append(cmds, cf.BatchLockDelRecord(m.sysName, rl.name))
+			cmds = append(cmds, cf.BatchCmd{Op: cf.CmdLockDelRec, Conn: m.sysName, Name: rl.name})
 		}
 	}
 	var firstErr error
@@ -417,7 +545,7 @@ func (m *Manager) UnlockAll(ctx context.Context, owner string, resourceNames []s
 			if serr == nil || errors.Is(serr, cf.ErrNotConnected) {
 				continue
 			}
-			if chunk[i].Op == cf.BatchOpLockDelRecord {
+			if chunk[i].Op == cf.CmdLockDelRec {
 				continue
 			}
 			if firstErr == nil {
@@ -427,12 +555,7 @@ func (m *Manager) UnlockAll(ctx context.Context, owner string, resourceNames []s
 	}
 	// Wake waiters even if the CF refused something: the local grants
 	// are gone and the waiters must re-drive.
-	for _, w := range toWake {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
+	m.wake("", toWake, nil)
 	for _, rw := range remotes {
 		m.send(rw.sys, wireMsg{Type: msgWakeup, Resource: rw.name})
 	}
@@ -449,19 +572,6 @@ func (m *Manager) HeldMode(owner, resourceName string) cf.LockMode {
 	return 0
 }
 
-// grantLocal records a granted lock and its persistent record.
-func (m *Manager) grantLocal(ctx context.Context, resourceName, owner string, mode cf.LockMode, entry int) {
-	m.mu.Lock()
-	r := m.resourceLocked(resourceName)
-	r.holders[owner] = mode
-	m.mu.Unlock()
-	if mode == cf.Exclusive {
-		// Persistent record: peers recover this if we fail (§3.3.1). If
-		// the CF is down the grant stands, just without crash coverage.
-		_ = m.structure().SetRecord(ctx, m.sysName, resourceName, mode)
-	}
-}
-
 func (m *Manager) resourceLocked(name string) *resource {
 	r := m.resources[name]
 	if r == nil {
@@ -469,6 +579,8 @@ func (m *Manager) resourceLocked(name string) *resource {
 			name:          name,
 			holders:       make(map[string]cf.LockMode),
 			remoteWaiters: make(map[string]bool),
+			acquiring:     make(map[string]cf.LockMode),
+			converting:    make(map[string]bool),
 		}
 		m.resources[name] = r
 	}
@@ -503,20 +615,18 @@ func (m *Manager) removeWaiter(resourceName string, w *waiter) {
 			break
 		}
 	}
-	if len(r.holders) == 0 && len(r.waiters) == 0 {
-		delete(m.resources, resourceName)
-	}
+	m.dropIfIdleLocked(r)
 }
 
-// localConflicts returns local owners whose holds are incompatible.
+// localConflicts returns local owners whose holds, or grant attempts
+// in flight, are incompatible with owner asking for mode.
 func localConflicts(r *resource, owner string, mode cf.LockMode) []string {
 	var out []string
-	for o, held := range r.holders {
-		if o == owner {
-			continue
-		}
-		if mode == cf.Exclusive || held == cf.Exclusive {
-			out = append(out, o)
+	for _, m := range []map[string]cf.LockMode{r.holders, r.acquiring} {
+		for o, held := range m {
+			if o != owner && (mode == cf.Exclusive || held == cf.Exclusive) && !slices.Contains(out, o) {
+				out = append(out, o)
+			}
 		}
 	}
 	sort.Strings(out)
@@ -634,40 +744,49 @@ type wireMsg struct {
 	Req      uint64   `json:"req,omitempty"`
 	Resource string   `json:"resource,omitempty"`
 	Mode     int      `json:"mode,omitempty"`
+	Owner    string   `json:"owner,omitempty"` // negotiate: the requesting owner
+	Convert  bool     `json:"convert,omitempty"`
 	Conflict bool     `json:"conflict,omitempty"`
 	Owners   []string `json:"owners,omitempty"`
+	Victim   bool     `json:"victim,omitempty"` // reply: the requester lost a conversion deadlock
 }
 
 type negotiateReply struct {
 	conflict bool
 	owners   []string
+	victim   bool
 }
 
 // negotiate asks each holding system whether a real conflict exists on
 // the actual resource. It returns the owner IDs that truly conflict
-// (empty means false contention).
-func (m *Manager) negotiate(holders []string, resourceName string, mode cf.LockMode) ([]string, error) {
+// (empty means false contention), and whether a holder named owner the
+// victim of a conversion deadlock.
+func (m *Manager) negotiate(holders []string, resourceName, owner string, mode cf.LockMode, convert bool) ([]string, bool, error) {
 	var conflictOwners []string
 	for _, holderSys := range holders {
 		if holderSys == m.sysName {
 			continue
 		}
 		m.bump(func(s *Stats) { s.Negotiations++ })
-		reply, err := m.ask(holderSys, resourceName, mode)
+		reply, err := m.ask(holderSys, wireMsg{Type: msgNegotiate, Resource: resourceName,
+			Mode: int(mode), Owner: owner, Convert: convert})
 		if err != nil {
 			// Holder died mid-negotiation; its interest will be cleaned
 			// up by XCF/CF failure handling. Treat as no conflict.
 			continue
+		}
+		if reply.victim {
+			return nil, true, nil
 		}
 		if reply.conflict {
 			conflictOwners = append(conflictOwners, reply.owners...)
 		}
 	}
 	sort.Strings(conflictOwners)
-	return conflictOwners, nil
+	return conflictOwners, false, nil
 }
 
-func (m *Manager) ask(holderSys, resourceName string, mode cf.LockMode) (negotiateReply, error) {
+func (m *Manager) ask(holderSys string, msg wireMsg) (negotiateReply, error) {
 	m.mu.Lock()
 	m.nextReq++
 	req := m.nextReq
@@ -679,7 +798,8 @@ func (m *Manager) ask(holderSys, resourceName string, mode cf.LockMode) (negotia
 		delete(m.pending, req)
 		m.mu.Unlock()
 	}()
-	err := m.send(holderSys, wireMsg{Type: msgNegotiate, Req: req, Resource: resourceName, Mode: int(mode)})
+	msg.Req = req
+	err := m.send(holderSys, msg)
 	if err != nil {
 		return negotiateReply{}, err
 	}
@@ -707,17 +827,18 @@ func (m *Manager) handleMessage(from string, payload []byte) {
 	}
 	switch msg.Type {
 	case msgNegotiate:
-		conflict, owners := m.checkConflict(from, msg.Resource, cf.LockMode(msg.Mode))
-		m.send(from, wireMsg{Type: msgReply, Req: msg.Req, Conflict: conflict, Owners: owners})
+		conflict, owners, victim := m.checkConflict(from, msg)
+		m.send(from, wireMsg{Type: msgReply, Req: msg.Req, Conflict: conflict, Owners: owners, Victim: victim})
 	case msgReply:
 		m.mu.Lock()
 		ch := m.pending[msg.Req]
 		m.mu.Unlock()
 		if ch != nil {
-			ch <- negotiateReply{conflict: msg.Conflict, owners: msg.Owners}
+			ch <- negotiateReply{conflict: msg.Conflict, owners: msg.Owners, victim: msg.Victim}
 		}
 	case msgWakeup:
 		m.mu.Lock()
+		m.wakeEpoch++
 		r := m.resources[msg.Resource]
 		var toWake []*waiter
 		if r != nil {
@@ -736,25 +857,47 @@ func (m *Manager) handleMessage(from string, payload []byte) {
 // checkConflict answers a negotiation request: does this system hold
 // the named resource in a mode incompatible with the request? If yes,
 // the requester's system is registered for a release signal.
-func (m *Manager) checkConflict(fromSys, resourceName string, mode cf.LockMode) (bool, []string) {
+//
+// It also breaks conversion deadlocks: two owners that each hold Share
+// and each want Exclusive wait on one another until they time out, and
+// then retry in step into the same deadlock.
+// When a converting requester meets a local converting owner, the
+// greater owner ID loses, as the Detector picks victims: a local loser
+// is aborted (or, still negotiating, fails before it waits), a remote
+// one is told so in the reply. Both sides of a pair reach the same
+// verdict, whichever negotiation arrives first.
+func (m *Manager) checkConflict(fromSys string, msg wireMsg) (conflict bool, owners []string, victim bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r := m.resources[resourceName]
+	r := m.resources[msg.Resource]
 	if r == nil {
-		return false, nil
+		return false, nil, false
 	}
-	var owners []string
-	for o, held := range r.holders {
-		if mode == cf.Exclusive || held == cf.Exclusive {
-			owners = append(owners, o)
+	owners = localConflicts(r, "", cf.LockMode(msg.Mode))
+	if len(owners) == 0 {
+		return false, nil, false
+	}
+	if msg.Convert {
+		for o := range r.converting {
+			if msg.Owner > o {
+				return true, nil, true
+			}
+		}
+		for o := range r.converting {
+			r.converting[o] = true
+			for _, w := range r.waiters {
+				if w.owner == o {
+					select {
+					case <-w.abort:
+					default:
+						close(w.abort)
+					}
+				}
+			}
 		}
 	}
-	if len(owners) == 0 {
-		return false, nil
-	}
 	r.remoteWaiters[fromSys] = true
-	sort.Strings(owners)
-	return true, owners
+	return true, owners, false
 }
 
 // --- deadlock detection ---

@@ -522,3 +522,114 @@ func TestRebindMigratesRetainedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConversionDeadlockPicksOneVictim: two systems each hold Share
+// and each upgrade to Exclusive, so neither can proceed until the other
+// lets go. The greater owner must lose at once, well before its wait
+// times out (retried in step, timed-out upgraders deadlock again), and
+// the other must win when it aborts.
+func TestConversionDeadlockPicksOneVictim(t *testing.T) {
+	h := newHarness(t, "SYS1", "SYS2")
+	m1, m2 := h.mgrs["SYS1"], h.mgrs["SYS2"]
+	ctx := context.Background()
+	for _, c := range []struct {
+		m     *Manager
+		owner string
+	}{{m1, "TX1"}, {m2, "TX2"}} {
+		if err := c.m.Lock(ctx, c.owner, "R", Share, tmo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	r1 := make(chan error, 1)
+	r2 := make(chan error, 1)
+	go func() { r1 <- m1.Lock(ctx, "TX1", "R", Exclusive, 10*time.Second) }()
+	go func() { r2 <- m2.Lock(ctx, "TX2", "R", Exclusive, 10*time.Second) }()
+	if err := <-r2; !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("TX2 upgrade = %v, want ErrDeadlock", err)
+	}
+	m2.Unlock(ctx, "TX2", "R") // the victim aborts
+	if err := <-r1; err != nil {
+		t.Fatalf("TX1 upgrade = %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("conversion deadlock took %v to resolve; the 10s timeout should not be what breaks it", d)
+	}
+}
+
+// forceHook runs before once, ahead of the next ForceObtain.
+type forceHook struct {
+	cf.Lock
+	before func()
+}
+
+func (f *forceHook) ForceObtain(ctx context.Context, idx int, conn string, mode cf.LockMode) error {
+	if b := f.before; b != nil {
+		f.before = nil
+		b()
+	}
+	return f.Lock.ForceObtain(ctx, idx, conn, mode)
+}
+
+// TestForcedGrantRechecksStaleNegotiation pins a lost-update race: a
+// negotiation answered "no conflict" (the peer held only a colliding
+// resource), the peer was then granted the resource itself, and the
+// requester forced its exclusive grant on the stale answer — two
+// owners, incompatible modes, one resource.
+func TestForcedGrantRechecksStaleNegotiation(t *testing.T) {
+	farm := dasd.NewFarm(vclock.Real())
+	if _, err := farm.AddVolume("V", 256, 1); err != nil {
+		t.Fatal(err)
+	}
+	pri, _ := farm.Allocate("V", "CDS", 128)
+	store, _ := cds.New("S", vclock.Real(), pri, nil, cds.Options{})
+	plex := xcf.NewSysplex("PLEX1", vclock.Real(), store, farm, xcf.Options{})
+	ls, err := cf.New("CF01", vclock.Real()).AllocateLockStructure("IRLM", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// R and R2 share a lock table entry.
+	r2 := ""
+	for i := 0; r2 == ""; i++ {
+		if n := fmt.Sprintf("R%d", i); n != "R" && ls.HashResource(n) == ls.HashResource("R") {
+			r2 = n
+		}
+	}
+	hook := &forceHook{Lock: ls}
+	ctx := context.Background()
+	sys1, _ := plex.Join("SYS1")
+	sys2, _ := plex.Join("SYS2")
+	m1, err := New(ctx, sys1, hook, vclock.Real())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := New(ctx, sys2, ls, vclock.Real())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.Lock(ctx, "TX2", r2, Share, tmo); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Lock(ctx, "TX1", "R", Share, tmo); err != nil {
+		t.Fatal(err)
+	}
+	// TX1's upgrade meets SYS2's interest on the entry, and SYS2 holds
+	// only R2: false contention. Before TX1 forces its grant, SYS2
+	// grants TX3 a share of R itself.
+	hook.before = func() {
+		if err := m2.Lock(ctx, "TX3", "R", Share, tmo); err != nil {
+			t.Errorf("TX3 share: %v", err)
+		}
+	}
+	r1 := make(chan error, 1)
+	go func() { r1 <- m1.Lock(ctx, "TX1", "R", Exclusive, 10*time.Second) }()
+	select {
+	case err := <-r1:
+		t.Fatalf("TX1 upgrade returned %v while TX3 shares R", err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	m2.Unlock(ctx, "TX3", "R")
+	if err := <-r1; err != nil {
+		t.Fatalf("TX1 upgrade after TX3 released: %v", err)
+	}
+}

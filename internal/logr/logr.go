@@ -1006,7 +1006,7 @@ func (s *Stream) deleteInterim(ctx context.Context, ids []string) error {
 		chunk := ids[start:end]
 		cmds := make([]cf.BatchCmd, len(chunk))
 		for i, id := range chunk {
-			cmds[i] = cf.BatchListDelete(m.sys, id, cf.Cond{})
+			cmds[i] = cf.BatchCmd{Op: cf.CmdListDelete, Conn: m.sys, Name: id, Cond: cf.Cond{}}
 		}
 		errs, err := s.list.Batch(ctx, cmds)
 		if err != nil {

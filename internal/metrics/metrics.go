@@ -262,45 +262,6 @@ func secs(s float64) string {
 	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
 }
 
-// Meter measures an event rate over its whole lifetime.
-type Meter struct {
-	mu    sync.Mutex
-	n     int64
-	start time.Time
-	now   func() time.Time
-}
-
-// NewMeter returns a Meter using now as its time source (pass
-// clock.Now from a vclock.Clock for determinism).
-func NewMeter(now func() time.Time) *Meter {
-	return &Meter{start: now(), now: now}
-}
-
-// Mark records n events.
-func (m *Meter) Mark(n int64) {
-	m.mu.Lock()
-	m.n += n
-	m.mu.Unlock()
-}
-
-// Count returns events recorded so far.
-func (m *Meter) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
-}
-
-// Rate returns events per second since creation (0 if no time elapsed).
-func (m *Meter) Rate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el := m.now().Sub(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.n) / el
-}
-
 // Registry is a named collection of metrics, used to expose per-system
 // and per-subsystem instrument sets.
 type Registry struct {

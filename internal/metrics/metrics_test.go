@@ -154,22 +154,6 @@ func TestHistogramMeanBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := NewMeter(func() time.Time { return now })
-	m.Mark(10)
-	if m.Rate() != 0 {
-		t.Fatalf("rate with zero elapsed = %g, want 0", m.Rate())
-	}
-	now = now.Add(2 * time.Second)
-	if got := m.Rate(); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("Rate = %g, want 5", got)
-	}
-	if m.Count() != 10 {
-		t.Fatalf("Count = %d", m.Count())
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("tx.commit")

@@ -12,6 +12,8 @@ import (
 	"sysplex/internal/dasd"
 	"sysplex/internal/db"
 	"sysplex/internal/lockmgr"
+	"sysplex/internal/logr"
+	"sysplex/internal/timer"
 	"sysplex/internal/vclock"
 	"sysplex/internal/wlm"
 	"sysplex/internal/xcf"
@@ -33,6 +35,7 @@ func newFixture(t *testing.T, systems ...string) *fixture {
 	plex := xcf.NewSysplex("PLEX1", vclock.Real(), store, farm, xcf.Options{})
 	fac := cf.New("CF01", vclock.Real())
 	ls, _ := fac.AllocateLockStructure("IRLM", 1024)
+	tmr := timer.New(vclock.Real())
 	fx := &fixture{plex: plex, regions: map[string]*Region{},
 		wlms: map[string]*wlm.Manager{}, engines: map[string]*db.Engine{}}
 	for _, s := range systems {
@@ -44,9 +47,15 @@ func newFixture(t *testing.T, systems ...string) *fixture {
 		if err != nil {
 			t.Fatal(err)
 		}
+		logger, err := logr.New(logr.Config{
+			System: s, Front: fac, Farm: farm, Volume: "V", Timer: tmr, Clock: vclock.Real(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		eng, err := db.Open(context.Background(), db.Config{
 			Name: "DBP1", System: s, Farm: farm, Volume: "V",
-			Facility: fac, Locks: lm, PoolFrames: 64, LogBlocks: 256,
+			Facility: fac, Locks: lm, Logger: logger, PoolFrames: 64,
 			LockTimeout: 3 * time.Second,
 		})
 		if err != nil {
